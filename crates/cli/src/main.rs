@@ -59,22 +59,22 @@ const USAGE: &str = "usage: hcl <command> [args]\n\
      \n\
      commands:\n\
        build <graph.edges> [--out FILE.hcl] [--landmarks K] [--threads T]\n\
-             [--batch B] [--strategy S] [--progress]\n\
+             [--strategy S] [--progress]\n\
            Build the highway-cover index once and persist it (default\n\
            output: <graph.edges>.hcl). --threads shards the landmark\n\
            searches over T worker threads (default: HCL_BUILD_THREADS or\n\
            all available cores); the output is byte-identical at every\n\
-           thread count. --batch sets landmarks per batch (advanced;\n\
-           changes the labelling shape, not its exactness). --strategy\n\
-           picks how landmarks are chosen: degree-rank (default),\n\
-           approx-coverage[:seed], or seeded-random[:seed] (default:\n\
-           HCL_BUILD_STRATEGY, else degree-rank); the choice is recorded\n\
-           in the container header and shown by inspect. --progress\n\
-           streams per-phase timing lines (selection, each landmark\n\
-           batch, highway closure) to stderr while the build runs. Build\n\
-           counters (BFS visits, domination prunes, per-landmark label\n\
-           contributions) are always recorded in the container and shown\n\
-           by inspect --stats.\n\
+           thread count. --strategy picks how landmarks are chosen:\n\
+           degree-rank (default), approx-coverage[:seed], or\n\
+           seeded-random[:seed] (default: HCL_BUILD_STRATEGY, else\n\
+           degree-rank); the choice is recorded in the container header\n\
+           and shown by inspect. --progress streams per-phase timing\n\
+           lines (selection, landmark trees, flatten) to stderr while the\n\
+           build runs. Build counters (BFS visits, vertices left\n\
+           unlabelled because a shortest path passes another landmark,\n\
+           per-landmark label contributions) are always recorded in the\n\
+           container and shown by inspect --stats. --batch B is accepted\n\
+           and ignored (deprecated).\n\
        query (--index FILE.hcl [--trusted] | <graph.edges> [--landmarks K]\n\
              [--threads T] [--strategy S]) [--queries FILE | --random N]\n\
              [--seed S] [--workers W] [--verify] [--explain]\n\
@@ -152,7 +152,8 @@ const USAGE: &str = "usage: hcl <command> [args]\n\
            section table.\n\
            --stats adds the label-size histogram (p50/p99/max entries per\n\
            vertex), the top hubs by label frequency, and the recorded\n\
-           build counters (BFS visits, domination cut rate, per-landmark\n\
+           build counters (BFS visits, vertices left unlabelled because a\n\
+           shortest path passes another landmark, per-landmark\n\
            contributions) when the container carries them (format v5+).\n\
      \n\
      `hcl <graph.edges> [query flags]` (no subcommand) behaves like\n\
@@ -516,7 +517,6 @@ fn cmd_build(args: Vec<String>) -> Result<(), String> {
     let mut out_path: Option<String> = None;
     let mut num_landmarks: Option<usize> = None;
     let mut threads: Option<usize> = None;
-    let mut batch_size = 0usize;
     let mut selection: Option<SelectionStrategy> = None;
     let mut progress = false;
     let mut args = args.into_iter();
@@ -536,7 +536,12 @@ fn cmd_build(args: Vec<String>) -> Result<(), String> {
                     "--threads",
                 ))
             }
-            "--batch" => batch_size = parse_or_usage(next_value(&mut args, "--batch"), "--batch"),
+            "--batch" => {
+                let _: usize = parse_or_usage(next_value(&mut args, "--batch"), "--batch");
+                eprintln!(
+                    "warning: --batch is deprecated and ignored: landmark trees are independent"
+                );
+            }
             "--strategy" | "-s" => {
                 selection = Some(parse_strategy_or_usage(next_value(&mut args, "--strategy")))
             }
@@ -560,7 +565,7 @@ fn cmd_build(args: Vec<String>) -> Result<(), String> {
     let options = BuildOptions {
         num_landmarks: resolve_landmarks(num_landmarks, graph.num_vertices()),
         threads: resolve_build_threads(threads),
-        batch_size,
+        batch_size: 0,
         selection,
     };
     let t1 = Instant::now();
@@ -575,7 +580,7 @@ fn cmd_build(args: Vec<String>) -> Result<(), String> {
     let t2 = Instant::now();
     let build_info = hcl_store::BuildInfo {
         threads: options.threads as u32,
-        batch_size: options.resolved_batch_size() as u32,
+        batch_size: 0,
         strategy: options.resolved_selection(),
     };
     // The container always carries the build counters (they are
@@ -589,19 +594,16 @@ fn cmd_build(args: Vec<String>) -> Result<(), String> {
 
     if progress {
         eprintln!(
-            "phases: selection {}µs, searches {}µs over {} batch(es), merge {}µs, closure {}µs",
-            build_stats.selection_us,
-            build_stats.batch_us.iter().sum::<u64>(),
-            build_stats.batch_us.len(),
-            build_stats.merge_us,
-            build_stats.closure_us
+            "phases: selection {}µs, landmark trees {}µs, flatten {}µs",
+            build_stats.selection_us, build_stats.label_us, build_stats.flatten_us
         );
         eprintln!(
-            "pruning: {} BFS visits, {} label insertions, {} dominated ({:.1}% cut)",
+            "counters: {} BFS visits, {} label insertions, {} unlabelled via another \
+             landmark ({:.1}% of visits)",
             build_stats.bfs_visits,
             build_stats.label_insertions,
             build_stats.dominated,
-            build_stats.domination_cut_rate() * 100.0
+            build_stats.dominated_rate() * 100.0
         );
     }
 
@@ -613,14 +615,13 @@ fn cmd_build(args: Vec<String>) -> Result<(), String> {
     );
     eprintln!(
         "index: {} landmarks, {} label entries (avg {:.2}/vertex, max {}), built in {:.1?} \
-         with {} thread(s), batch {}, strategy {}",
+         with {} thread(s), strategy {}",
         stats.num_landmarks,
         stats.total_label_entries,
         stats.avg_label_size,
         stats.max_label_size,
         build_time,
         build_info.threads,
-        build_info.batch_size,
         build_info.strategy
     );
     eprintln!(
@@ -1522,9 +1523,10 @@ fn write_deep_stats(out: &mut dyn Write, store: &IndexStore) -> std::io::Result<
             writeln!(out, "  label insertions: {}", bs.label_insertions)?;
             writeln!(
                 out,
-                "  dominated:        {} ({:.1}% of visits cut)",
+                "  unlabelled:       {} ({:.1}% of visits; a shortest path passes another \
+                 landmark)",
                 bs.dominated,
-                bs.domination_cut_rate() * 100.0
+                bs.dominated_rate() * 100.0
             )?;
             let mut contrib: Vec<(u64, usize)> = bs
                 .landmark_labels
@@ -1612,11 +1614,16 @@ fn cmd_inspect(args: Vec<String>) -> Result<(), String> {
         if meta.build == hcl_store::BuildInfo::default() {
             writeln!(out, "built with:    (unrecorded)")?;
         } else {
-            writeln!(
-                out,
-                "built with:    {} thread(s), landmark batch {}",
-                meta.build.threads, meta.build.batch_size
-            )?;
+            write!(out, "built with:    {} thread(s)", meta.build.threads)?;
+            if meta.build.batch_size != 0 {
+                // Written by the retired batched builder.
+                write!(
+                    out,
+                    ", legacy batched labels (batch {})",
+                    meta.build.batch_size
+                )?;
+            }
+            writeln!(out)?;
         }
         match store.journal() {
             Some(j) => writeln!(

@@ -83,6 +83,12 @@ impl SlowLog {
     /// Logs the query if it is over threshold and the rate limiter has a
     /// token; otherwise returns immediately.
     pub(crate) fn observe(&self, q: &SlowQuery<'_>) {
+        self.observe_at(q, Instant::now());
+    }
+
+    /// [`observe`](Self::observe) with the token bucket refilled up to
+    /// `now` instead of the wall clock, so tests can drive it exactly.
+    pub(crate) fn observe_at(&self, q: &SlowQuery<'_>, now: Instant) {
         if q.latency < self.threshold {
             return;
         }
@@ -91,7 +97,6 @@ impl SlowLog {
         // panic inside some other observe call) is recovered — the token
         // bucket state degrades gracefully no matter where the panic hit.
         let mut inner = lock_recover(&self.inner, "slow-log");
-        let now = Instant::now();
         let elapsed = now.duration_since(inner.last_refill).as_secs_f64();
         inner.last_refill = now;
         inner.tokens = (inner.tokens + elapsed * MAX_LINES_PER_SEC).min(MAX_LINES_PER_SEC);
@@ -227,14 +232,30 @@ mod tests {
         assert!(sink.0.lock().unwrap().is_empty());
 
         q.latency = Duration::from_micros(50);
-        // Exhaust the burst and then some; the excess must be dropped,
-        // counted, and never block.
-        for _ in 0..(MAX_LINES_PER_SEC as usize + 100) {
-            log.observe(&q);
+        let lines = || {
+            let written = sink.0.lock().unwrap().clone();
+            written
+                .split(|&b| b == b'\n')
+                .filter(|l| !l.is_empty())
+                .count()
+        };
+        // Exhaust the burst and then some, all at one instant so nothing
+        // refills: exactly the burst is written, the excess is dropped,
+        // counted, and never blocks.
+        let t0 = Instant::now();
+        let burst = MAX_LINES_PER_SEC as usize;
+        for _ in 0..burst + 100 {
+            log.observe_at(&q, t0);
         }
-        let written = sink.0.lock().unwrap().clone();
-        let lines = written.split(|&b| b == b'\n').filter(|l| !l.is_empty());
-        assert!(lines.count() <= MAX_LINES_PER_SEC as usize + 1);
-        assert!(log.dropped() >= 99, "dropped = {}", log.dropped());
+        assert_eq!(lines(), burst);
+        assert_eq!(log.dropped(), 100);
+
+        // 5 ms later the bucket holds 5 tokens: three more lines fit.
+        let t1 = t0 + Duration::from_millis(5);
+        for _ in 0..3 {
+            log.observe_at(&q, t1);
+        }
+        assert_eq!(lines(), burst + 3);
+        assert_eq!(log.dropped(), 100);
     }
 }

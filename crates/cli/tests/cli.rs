@@ -110,8 +110,12 @@ fn empty_graph_pipeline_builds_serves_inspects() {
     assert!(inspect.contains("vertices:      0"), "inspect: {inspect}");
     assert!(inspect.contains("landmarks:     0"), "inspect: {inspect}");
     assert!(
-        inspect.contains("built with:    2 thread(s), landmark batch 8"),
+        inspect.contains("built with:    2 thread(s)\n"),
         "inspect must show recorded build metadata: {inspect}"
+    );
+    assert!(
+        !inspect.contains("batch"),
+        "current builds record no landmark batch: {inspect}"
     );
 }
 
@@ -625,7 +629,7 @@ fn strategy_flag_is_recorded_and_validated() {
 #[test]
 fn threads_flag_does_not_change_the_served_index() {
     let scratch = Scratch::new("threads");
-    // A graph big enough that batching actually spans several batches.
+    // A graph big enough that 24 landmark trees spread over 4 workers.
     let edges: String = (0..400u32)
         .map(|i| format!("{} {}\n", i, (i * 7 + 1) % 400))
         .collect();
@@ -652,4 +656,49 @@ fn threads_flag_does_not_change_the_served_index() {
         "served payload must be thread-count independent"
     );
     assert_ne!(a, b, "recorded build metadata should differ");
+}
+
+/// `build --batch` is a deprecated no-op: one warning line on stderr and
+/// the very same container as a build without it.
+#[test]
+fn deprecated_batch_flag_warns_and_changes_nothing() {
+    let scratch = Scratch::new("batch");
+    let edges: String = (0..200u32)
+        .map(|i| format!("{} {}\n", i, (i * 5 + 3) % 200))
+        .collect();
+    let graph = scratch.file("g.edges", &edges);
+    let plain = scratch.path("plain.hcl");
+    let batched = scratch.path("batched.hcl");
+    let common = ["--landmarks", "8", "--threads", "2"];
+    run_ok(
+        hcl()
+            .arg("build")
+            .arg(&graph)
+            .arg("--out")
+            .arg(&plain)
+            .args(common),
+    );
+    let out = run_ok(
+        hcl()
+            .arg("build")
+            .arg(&graph)
+            .arg("--out")
+            .arg(&batched)
+            .args(common)
+            .args(["--batch", "3"]),
+    );
+    let warnings: Vec<String> = stderr_of(&out)
+        .lines()
+        .filter(|l| l.starts_with("warning: "))
+        .map(str::to_owned)
+        .collect();
+    assert_eq!(
+        warnings,
+        ["warning: --batch is deprecated and ignored: landmark trees are independent"]
+    );
+    assert_eq!(
+        std::fs::read(&plain).expect("read plain"),
+        std::fs::read(&batched).expect("read batched"),
+        "--batch must not change the container"
+    );
 }

@@ -22,7 +22,7 @@ use std::collections::VecDeque;
 /// runtime branch on the hot path. `hcl-index` extends this trait with
 /// label-merge hooks for its query engine; the traversal-shaped hooks live
 /// here because the searches they observe (full oracles, the residual BFS,
-/// the pruned landmark BFS) are all built from this crate's primitives.
+/// the landmark labelling BFS) are all built from this crate's primitives.
 pub trait BfsProbe {
     /// Called once per vertex expanded (taken off the frontier or pushed
     /// onto the next one, depending on the traversal's shape).
@@ -50,8 +50,8 @@ impl BfsProbe for NoProbe {}
 /// This is the allocation-free building block for callers that run many
 /// searches back to back — the batch verifier in the CLI, and every worker
 /// of the parallel index builder (via `hcl-index`'s `BuildContext`). The
-/// fields are public so specialised traversals (e.g. the pruned landmark
-/// BFS) can drive the loop themselves while reusing the buffers; the only
+/// fields are public so specialised traversals (e.g. the landmark
+/// labelling BFS) can drive the loop themselves while reusing the buffers; the only
 /// invariant to uphold is the one [`reset`](BfsScratch::reset) restores:
 /// **every vertex whose `dist` entry is not [`INFINITY`] must be on
 /// `touched`**.

@@ -15,10 +15,9 @@
 //!    identical random workload, compared entry for entry and recorded
 //!    as a checksum in the JSON. A repair that drifted from the rebuild
 //!    oracle fails the bench, not just the number.
-//! 4. One edge **delete** is timed for context: a delete whose affected
-//!    set is non-empty falls back to a full relabel by design (see
-//!    `index/src/repair.rs`), so its latency is expected to sit near the
-//!    rebuild cost rather than the insert repair cost.
+//! 4. One edge **delete** is timed for context: deletes repair only the
+//!    trees they affect, like inserts (see `index/src/repair.rs`); the
+//!    JSON records whether that happened to be every tree.
 //!
 //! `HCL_BENCH_SCALE=small` shrinks the graph and workload for CI smoke
 //! runs (the JSON is then labelled accordingly).
@@ -163,9 +162,8 @@ fn main() {
         last_state = Some((current, dynamic));
     }
 
-    // One delete for context: deleting an edge the repair path inserted
-    // above. Its affected set is non-empty, so this is the full-relabel
-    // fallback — honest numbers, not a hidden fast path.
+    // One delete for context: an edge of the highest-degree vertex, which
+    // sits on many landmarks' shortest-path DAGs.
     let (mut current, mut dynamic) = last_state.expect("at least one batch ran");
     let last_edge = {
         let u = (0..current.num_vertices() as u32)

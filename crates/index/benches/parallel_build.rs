@@ -7,9 +7,9 @@
 //!
 //! The JSON records `available_parallelism` alongside the timings: on a
 //! single-core machine the thread sweep can only measure oversubscription
-//! overhead (speedup ≈ 1), while the per-batch sharding gives near-linear
-//! gains up to `min(batch_size, cores)` where cores exist — interpret the
-//! speedup column against that field.
+//! overhead (speedup ≈ 1), while sharding independent landmark trees
+//! gives near-linear gains up to `min(landmarks, cores)` where cores exist
+//! — interpret the speedup column against that field.
 
 use hcl_index::{BuildContext, BuildOptions, HighwayCoverIndex};
 use std::time::Instant;
@@ -62,8 +62,7 @@ fn main() {
         let options = BuildOptions {
             num_landmarks: NUM_LANDMARKS,
             threads,
-            batch_size: 0,
-            selection: None,
+            ..BuildOptions::default()
         };
         let mut pool: Vec<BuildContext> = (0..threads).map(|_| BuildContext::new()).collect();
         let mut best_ns = u128::MAX;
@@ -113,12 +112,11 @@ fn main() {
         "{{\n  \"bench\": \"pr3_parallel_build\",\n  \"available_parallelism\": {cores},\n  \
          \"graph\": {{\"family\": \
          \"barabasi_albert\", \"vertices\": {}, \"edges\": {}, \"m\": {BA_EDGES_PER_VERTEX}, \
-         \"seed\": {SEED}}},\n  \"index\": {{\"landmarks\": {NUM_LANDMARKS}, \"batch_size\": {}, \
+         \"seed\": {SEED}}},\n  \"index\": {{\"landmarks\": {NUM_LANDMARKS}, \
          \"label_entries\": {entries}}},\n  \"reps\": {BUILD_REPS},\n  \"builds\": [\n    {}\n  \
          ]\n}}\n",
         g.num_vertices(),
         g.num_edges(),
-        BuildOptions::DEFAULT_BATCH_SIZE,
         builds.join(",\n    ")
     );
 

@@ -68,8 +68,8 @@ fn main() {
         let options = BuildOptions {
             num_landmarks: NUM_LANDMARKS,
             threads: 1,
-            batch_size: 0,
             selection: Some(strategy),
+            ..BuildOptions::default()
         };
         let t = Instant::now();
         let index = HighwayCoverIndex::build_with(&g, &options);

@@ -1,50 +1,34 @@
-//! Index construction: pruned landmark BFS, deterministic batching, and
-//! the highway matrix.
+//! Index construction: one labelling BFS per landmark, sharded over
+//! worker threads, and the highway matrix read off the same searches.
 //!
-//! # The batched build and why it parallelises
+//! # The labelling rule and why it parallelises
 //!
-//! The labelling is one pruned BFS per landmark. Each search reads two
-//! pieces of shared state — the labels recorded by earlier landmarks and
-//! the highway row of its own landmark — and produces two fragments: the
-//! vertices it labels and the landmark-to-landmark depths it discovers.
-//! The searches are therefore independent *modulo* that shared state, and
-//! this module exploits it deterministically:
+//! The labels follow the highway-cover rule of the source paper's base
+//! labelling: vertex `v` holds `(r, d(r, v))` iff no shortest `r`–`v`
+//! path passes through another landmark (a landmark therefore holds only
+//! its own root entry). Each landmark's tree is computed by a full BFS
+//! that carries a "passes a landmark" flag down the shortest-path DAG
+//! (see [`tree`]); the same BFS yields the landmark's exact highway row,
+//! so no closure pass is needed.
 //!
-//! * Landmarks are processed in **rank-ordered batches** of fixed size
-//!   ([`BuildOptions::batch_size`], default
-//!   [`BuildOptions::DEFAULT_BATCH_SIZE`]).
-//! * Every search in a batch runs against a **read-only snapshot** of the
-//!   shared state as it stood when the batch started — domination pruning
-//!   consults only labels and highway entries from strictly earlier
-//!   batches, plus the highway depths the search itself discovers.
-//! * After a batch completes, a **merge in landmark-rank order** folds the
-//!   per-landmark fragments back into the shared state.
-//!
-//! Because a search never observes a batch-mate's results, the output is a
-//! pure function of the graph, the landmark count, and the batch size —
-//! **byte-identical for every thread count**, which
-//! `tests/parallel_build.rs` asserts across all testkit families. The
-//! sequential builder ([`sequential`]) is literally the `threads = 1` case
-//! of the same batched algorithm; [`parallel`] shards each batch over
-//! `std::thread::scope` workers, each with its own reusable
-//! [`BuildContext`].
-//!
-//! Batch-local blindness can only *weaken* pruning (a batch-mate's label
-//! that would have dominated a vertex is not visible yet), so labels may
-//! hold slightly more entries than a fully sequential ordering would
-//! produce — never any wrong ones, and exactness of every query is
-//! unaffected (the oracle property tests run over the batched output).
-
-mod state;
+//! Because a tree depends only on the graph and *where* the landmarks sit
+//! — never on any other tree — the labelling is a pure function of
+//! `(graph, landmark set)`. [`parallel`] hands landmark ranks to
+//! `std::thread::scope` workers from an atomic cursor, each with its own
+//! reusable [`BuildContext`], and lays the trees down in rank order: the
+//! output is **byte-identical for every thread count**, which
+//! `tests/parallel_build.rs` asserts across all testkit families, and
+//! minimal, which `tests/minimality.rs` checks against the rule itself.
+//! The incremental repair path (`crate::repair`) re-runs the same routine
+//! for the trees an edit affects.
 
 pub(crate) mod parallel;
-pub(crate) mod sequential;
+pub(crate) mod tree;
 
 use crate::select::{self, LandmarkSelector, SelectionStrategy};
 use crate::view::IndexView;
 use hcl_core::bfs::BfsScratch;
 use hcl_core::{Graph, VertexId};
-use state::{BuildState, LandmarkFragment};
 use std::time::Instant;
 
 /// Sentinel rank for vertices that are not landmarks.
@@ -65,13 +49,14 @@ impl Default for IndexConfig {
     }
 }
 
-/// Full construction options: landmark count plus the parallel-build knobs.
+/// Full construction options: landmark count, worker threads, and the
+/// landmark-selection strategy.
 ///
 /// [`IndexConfig`] stays the simple "how many landmarks" surface;
-/// `BuildOptions` adds worker-thread and batching control for
-/// [`HighwayCoverIndex::build_with`]. The batch size — not the thread
-/// count — is what shapes the output: for a fixed batch size the built
-/// index is byte-identical at every thread count (see the module docs).
+/// `BuildOptions` adds worker-thread and selection control for
+/// [`HighwayCoverIndex::build_with`]. Only the landmark count and the
+/// strategy shape the output: it is byte-identical at every thread count
+/// (see the module docs).
 #[derive(Clone, Copy, Debug)]
 pub struct BuildOptions {
     /// Number of landmarks; clamped to the vertex count at build time.
@@ -80,24 +65,20 @@ pub struct BuildOptions {
     /// variable if set to a positive integer, otherwise `1` (the
     /// sequential path). The thread count never changes the output.
     pub threads: usize,
-    /// Landmarks per batch. `0` means [`Self::DEFAULT_BATCH_SIZE`]. Larger
-    /// batches expose more parallelism but weaken domination pruning
-    /// (batch-mates cannot prune against each other), so labels grow;
-    /// `1` reproduces the fully sequential pruning order exactly.
+    /// Ignored. Kept so existing callers compile: the builder once ran
+    /// landmarks in batches of this size, but landmark trees are now
+    /// independent, so there is nothing left for it to shape.
     pub batch_size: usize,
     /// Landmark-selection strategy. `None` means auto: the
     /// `HCL_BUILD_STRATEGY` environment variable if set to a valid
     /// `name[:seed]` spelling, otherwise
-    /// [`SelectionStrategy::DegreeRank`]. Unlike threads and batch size,
-    /// the strategy *shapes the output* (it decides which vertices anchor
-    /// the labelling), so persisted containers record it in their header.
+    /// [`SelectionStrategy::DegreeRank`]. Unlike the thread count, the
+    /// strategy *shapes the output* (it decides which vertices anchor the
+    /// labelling), so persisted containers record it in their header.
     pub selection: Option<SelectionStrategy>,
 }
 
 impl BuildOptions {
-    /// Default landmarks-per-batch when [`BuildOptions::batch_size`] is 0.
-    pub const DEFAULT_BATCH_SIZE: usize = 8;
-
     /// The worker-thread count this configuration resolves to (see
     /// [`BuildOptions::threads`]).
     pub fn resolved_threads(&self) -> usize {
@@ -121,16 +102,6 @@ impl BuildOptions {
             .unwrap_or(fallback)
     }
 
-    /// The batch size this configuration resolves to (see
-    /// [`BuildOptions::batch_size`]).
-    pub fn resolved_batch_size(&self) -> usize {
-        if self.batch_size > 0 {
-            self.batch_size
-        } else {
-            Self::DEFAULT_BATCH_SIZE
-        }
-    }
-
     /// The landmark-selection strategy this configuration resolves to:
     /// the explicit [`BuildOptions::selection`] if set, else the
     /// `HCL_BUILD_STRATEGY` environment variable, else degree ranking.
@@ -138,6 +109,13 @@ impl BuildOptions {
         self.selection
             .or_else(SelectionStrategy::from_env)
             .unwrap_or_default()
+    }
+
+    /// One fresh [`BuildContext`] per resolved worker thread.
+    fn contexts(&self) -> Vec<BuildContext> {
+        (0..self.resolved_threads().max(1))
+            .map(|_| BuildContext::new())
+            .collect()
     }
 }
 
@@ -164,9 +142,9 @@ impl From<IndexConfig> for BuildOptions {
 /// Reusable scratch space for one build worker, mirroring
 /// [`QueryContext`](crate::QueryContext) on the query side.
 ///
-/// A pruned landmark BFS needs a distance array, a queue, a touched-list
-/// (all provided by [`BfsScratch`] from `hcl-core`), and a private copy of
-/// its landmark's highway row. One context serves any number of searches —
+/// A landmark tree needs a distance array and a touched-list (provided by
+/// [`BfsScratch`] from `hcl-core`), a per-vertex "passes a landmark" flag,
+/// and two level frontiers. One context serves any number of searches —
 /// buffers are reset via the touched-list, so reuse costs `O(visited)` per
 /// search, not `O(n)`. Create one per worker thread; callers that rebuild
 /// indexes repeatedly can hold a pool and pass it to
@@ -174,7 +152,9 @@ impl From<IndexConfig> for BuildOptions {
 #[derive(Default)]
 pub struct BuildContext {
     pub(crate) scratch: BfsScratch,
-    pub(crate) highway_row: Vec<u32>,
+    pub(crate) passes: Vec<bool>,
+    pub(crate) frontier: Vec<VertexId>,
+    pub(crate) next: Vec<VertexId>,
 }
 
 impl BuildContext {
@@ -189,104 +169,55 @@ impl BuildContext {
 /// Because [`INFINITY`](hcl_core::INFINITY) is `u32::MAX`, saturation
 /// doubles as absorption — anything plus unreachable stays unreachable, and
 /// a sum that would wrap clamps to the sentinel instead of turning into a
-/// small bogus "distance". Used by the Floyd–Warshall closure and the
-/// domination check, where operands can sit near the sentinel when fed a
-/// hostile (well-formed but semantically tampered) index file.
+/// small bogus "distance". Used where repair reads distances back out of
+/// labels and the highway, whose operands can sit near the sentinel when
+/// fed a hostile (well-formed but semantically tampered) index file.
 #[inline]
 pub(crate) fn sat_add(a: u32, b: u32) -> u32 {
     a.saturating_add(b)
 }
 
-/// Per-build instrumentation: phase wall times and pruning counters,
+/// Per-build instrumentation: phase wall times and labelling counters,
 /// produced by [`HighwayCoverIndex::build_with_stats`].
 ///
 /// The counters (`bfs_visits`, `label_insertions`, `dominated`,
 /// `landmark_labels`) are **thread-count-invariant**: they are pure
-/// functions of the graph, selection, and batch size, exactly like the
-/// built index itself — which is why they are safe to persist in the
-/// container (`hcl-store` section kind 10) without breaking the build's
+/// functions of the graph and the landmark set, exactly like the built
+/// index itself — which is why they are safe to persist in the container
+/// (`hcl-store` section kind 10) without breaking the build's
 /// byte-identity guarantee. The wall times are, of course, per-run.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct BuildStats {
     /// Wall time of landmark selection, in microseconds.
     pub selection_us: u64,
-    /// Wall time of each landmark batch's pruned searches, in
-    /// microseconds, in batch order.
-    pub batch_us: Vec<u64>,
-    /// Cumulative wall time of folding fragments back into the shared
-    /// state, in microseconds.
-    pub merge_us: u64,
-    /// Wall time of the highway Floyd–Warshall closure plus the CSR label
-    /// flatten, in microseconds.
-    pub closure_us: u64,
+    /// Wall time of the landmark-tree searches, in microseconds.
+    pub label_us: u64,
+    /// Wall time of laying the trees down into the flat label arrays and
+    /// the highway matrix, in microseconds.
+    pub flatten_us: u64,
     /// Whole-build wall time, in microseconds.
     pub total_us: u64,
-    /// Vertices dequeued across all pruned landmark searches.
+    /// Vertices taken off the frontier across all landmark searches.
     pub bfs_visits: u64,
     /// Label entries inserted (including each landmark's own root entry).
     pub label_insertions: u64,
-    /// Visited vertices cut by domination pruning.
+    /// Reached non-landmark vertices left unlabelled because a shortest
+    /// path from the searching landmark passes another landmark.
     pub dominated: u64,
     /// Label entries contributed by each landmark, in rank order.
     pub landmark_labels: Vec<u64>,
 }
 
 impl BuildStats {
-    /// Fraction of visited vertices cut by domination pruning, in `0..=1`
-    /// (`0` when nothing was visited).
-    pub fn domination_cut_rate(&self) -> f64 {
+    /// Fraction of visited vertices left unlabelled as
+    /// [`dominated`](Self::dominated), in `0..=1` (`0` when nothing was
+    /// visited).
+    pub fn dominated_rate(&self) -> f64 {
         if self.bfs_visits == 0 {
             0.0
         } else {
             self.dominated as f64 / self.bfs_visits as f64
         }
-    }
-}
-
-/// Driver-side observation state: the stats being accumulated plus an
-/// optional live progress sink (one human-readable line per event).
-pub(crate) struct Observer<'s, 'p> {
-    pub(crate) stats: &'s mut BuildStats,
-    pub(crate) progress: Option<&'p mut dyn FnMut(String)>,
-}
-
-impl Observer<'_, '_> {
-    fn emit(&mut self, line: impl FnOnce() -> String) {
-        if let Some(sink) = self.progress.as_mut() {
-            sink(line());
-        }
-    }
-
-    /// Records one completed batch: `frags` must already be in rank order
-    /// (both drivers guarantee it), `us` is the batch's search wall time.
-    pub(crate) fn record_batch(
-        &mut self,
-        start: usize,
-        end: usize,
-        k: usize,
-        us: u64,
-        frags: &[LandmarkFragment],
-    ) {
-        let mut visits = 0u64;
-        let mut labels = 0u64;
-        let mut dominated = 0u64;
-        for frag in frags {
-            visits += frag.visits;
-            labels += frag.labelled.len() as u64;
-            dominated += frag.dominated;
-            self.stats.landmark_labels[frag.rank] = frag.labelled.len() as u64;
-        }
-        self.stats.batch_us.push(us);
-        self.stats.bfs_visits += visits;
-        self.stats.label_insertions += labels;
-        self.stats.dominated += dominated;
-        let batch = self.stats.batch_us.len();
-        self.emit(|| {
-            format!(
-                "batch {batch}: landmarks {start}..{end} of {k} in {us} µs \
-                 (visits {visits}, labels {labels}, dominated {dominated})"
-            )
-        });
     }
 }
 
@@ -327,28 +258,18 @@ pub struct HighwayCoverIndex {
     /// ([`pack_label_entry`](crate::pack_label_entry)), hub-ascending
     /// within each vertex.
     pub(crate) label_entries: Vec<u64>,
-    /// Row-major `k × k` landmark-to-landmark distances, closed under
-    /// shortest paths (Floyd–Warshall), [`INFINITY`](hcl_core::INFINITY)
-    /// when disconnected.
+    /// Row-major `k × k` exact landmark-to-landmark distances,
+    /// [`INFINITY`](hcl_core::INFINITY) when disconnected.
     pub(crate) highway: Vec<u32>,
 }
 
 impl HighwayCoverIndex {
     /// Builds the index for `graph` with the given configuration.
     ///
-    /// Runs one pruned BFS per landmark (see the module docs for the
-    /// batched schedule). A BFS from landmark `r` stops at two kinds of
-    /// vertices:
-    ///
-    /// * another landmark — its depth seeds the highway matrix and the
-    ///   search does not continue through it, so every recorded label
-    ///   distance is over a path whose interior avoids landmarks;
-    /// * a vertex whose distance to `r` is already covered at least as well
-    ///   via an earlier-batch landmark and the highway (*domination
-    ///   pruning*) — this is what keeps labels small on complex networks.
-    ///
-    /// The highway matrix is then closed with Floyd–Warshall over the `k`
-    /// landmarks so it holds exact landmark-to-landmark distances.
+    /// Runs one labelling BFS per landmark (see the module docs for the
+    /// rule): vertex `v` gets the entry `(r, d(r, v))` iff no shortest
+    /// `r`–`v` path passes through another landmark, and the highway holds
+    /// exact landmark-to-landmark distances.
     ///
     /// Thread count defaults to auto (`HCL_BUILD_THREADS` or sequential);
     /// use [`HighwayCoverIndex::build_with`] for explicit control.
@@ -356,25 +277,19 @@ impl HighwayCoverIndex {
         Self::build_with(graph, &BuildOptions::from(config))
     }
 
-    /// Builds the index with explicit thread/batch control.
+    /// Builds the index with explicit thread and selection control.
     ///
-    /// For a fixed batch size the result is **byte-identical at every
-    /// thread count**; `threads = 1` runs fully in the calling thread with
-    /// one [`BuildContext`].
+    /// The result is **byte-identical at every thread count**;
+    /// `threads = 1` runs fully in the calling thread with one
+    /// [`BuildContext`].
     pub fn build_with(graph: &Graph, options: &BuildOptions) -> Self {
-        // A batch holds at most batch_size searches, so extra workers
-        // beyond that could never receive work — don't create them.
-        let threads = options
-            .resolved_threads()
-            .clamp(1, options.resolved_batch_size());
-        let mut contexts: Vec<BuildContext> = (0..threads).map(|_| BuildContext::new()).collect();
-        Self::build_in(graph, options, &mut contexts)
+        Self::build_in(graph, options, &mut options.contexts())
     }
 
     /// [`HighwayCoverIndex::build_with`] plus instrumentation: returns the
-    /// index together with [`BuildStats`] (phase wall times, pruning
+    /// index together with [`BuildStats`] (phase wall times, labelling
     /// counters, per-landmark label contributions), and streams one
-    /// human-readable line per build event to `progress` when given (the
+    /// human-readable line per build phase to `progress` when given (the
     /// CLI's `build --progress` prints them to stderr as phases finish).
     ///
     /// Instrumentation never changes the output: the index is byte-
@@ -385,16 +300,12 @@ impl HighwayCoverIndex {
         options: &BuildOptions,
         progress: Option<&mut dyn FnMut(String)>,
     ) -> (Self, BuildStats) {
-        let threads = options
-            .resolved_threads()
-            .clamp(1, options.resolved_batch_size());
-        let mut contexts: Vec<BuildContext> = (0..threads).map(|_| BuildContext::new()).collect();
         let selector = options.resolved_selection().selector();
         let mut stats = BuildStats::default();
         let index = Self::build_observed(
             graph,
             options,
-            &mut contexts,
+            &mut options.contexts(),
             selector.as_ref(),
             &mut stats,
             progress,
@@ -408,9 +319,9 @@ impl HighwayCoverIndex {
     ///
     /// One worker runs per context, so `contexts.len()` — not
     /// [`BuildOptions::threads`] — is the thread count here, capped at the
-    /// per-batch job count (extra workers could never receive work). An
-    /// empty slice builds sequentially with a temporary context. Landmarks
-    /// are chosen by [`BuildOptions::selection`] (resolved via
+    /// landmark count (extra workers could never receive work). An empty
+    /// slice builds sequentially with a temporary context. Landmarks are
+    /// chosen by [`BuildOptions::selection`] (resolved via
     /// [`BuildOptions::resolved_selection`]).
     pub fn build_in(graph: &Graph, options: &BuildOptions, contexts: &mut [BuildContext]) -> Self {
         let selector = options.resolved_selection().selector();
@@ -450,24 +361,26 @@ impl HighwayCoverIndex {
 
     /// The one real build path: every public entry point funnels here.
     /// `stats` is always populated (the un-instrumented entries hand in a
-    /// throwaway — the bookkeeping is a handful of timestamps and counter
-    /// folds per *batch*, noise next to the searches a batch contains);
-    /// `progress` streams per-phase lines when given.
+    /// throwaway — the bookkeeping is a few timestamps and one counter fold
+    /// per tree); `progress` streams per-phase lines when given.
     fn build_observed(
         graph: &Graph,
         options: &BuildOptions,
         contexts: &mut [BuildContext],
         selector: &dyn LandmarkSelector,
         stats: &mut BuildStats,
-        progress: Option<&mut dyn FnMut(String)>,
+        mut progress: Option<&mut dyn FnMut(String)>,
     ) -> Self {
+        let mut emit = |line: String| {
+            if let Some(sink) = progress.as_mut() {
+                sink(line);
+            }
+        };
         let t_total = Instant::now();
         let graph = graph.as_view();
-        let batch_size = options.resolved_batch_size();
-        let num_landmarks = options.num_landmarks.min(graph.num_vertices());
-        // Contexts beyond the per-batch job count could never receive
-        // work; cap the pool so no idle worker threads get spawned.
-        let workers = contexts.len().min(batch_size).min(num_landmarks);
+        let n = graph.num_vertices();
+        let num_landmarks = options.num_landmarks.min(n);
+        let workers = contexts.len().min(num_landmarks);
         let t = Instant::now();
         let landmarks = if workers > 1 {
             parallel::run_selection(graph, selector, num_landmarks)
@@ -475,41 +388,55 @@ impl HighwayCoverIndex {
             select::checked_select(selector, graph, num_landmarks)
         };
         stats.selection_us = t.elapsed().as_micros() as u64;
-        stats.landmark_labels = vec![0; landmarks.len()];
-        let sel_us = stats.selection_us;
-        let mut obs = Observer { stats, progress };
-        obs.emit(|| {
-            format!(
-                "select: {} landmark(s) [{}] in {sel_us} µs",
-                landmarks.len(),
-                selector.name()
-            )
-        });
-        let mut state = BuildState::new(graph, landmarks);
-        match &mut contexts[..workers] {
-            [] => sequential::run(
-                graph,
-                &mut state,
-                batch_size,
-                &mut BuildContext::new(),
-                &mut obs,
-            ),
-            [cx] => sequential::run(graph, &mut state, batch_size, cx, &mut obs),
-            many => parallel::run(graph, &mut state, batch_size, many, &mut obs),
+        let k = landmarks.len();
+        emit(format!(
+            "select: {k} landmark(s) [{}] in {} µs",
+            selector.name(),
+            stats.selection_us
+        ));
+
+        let mut landmark_rank = vec![NOT_A_LANDMARK; n];
+        for (rank, &v) in landmarks.iter().enumerate() {
+            landmark_rank[v as usize] = rank as u32;
         }
         let t = Instant::now();
-        let index = state.finish();
-        obs.stats.closure_us = t.elapsed().as_micros() as u64;
-        let closure_us = obs.stats.closure_us;
-        obs.emit(|| format!("closure: highway closed + labels flattened in {closure_us} µs"));
-        obs.stats.total_us = t_total.elapsed().as_micros() as u64;
-        let (total, cut) = (obs.stats.total_us, obs.stats.domination_cut_rate());
-        obs.emit(|| {
-            format!(
-                "build: done in {total} µs (domination cut {:.1} %)",
-                cut * 100.0
-            )
-        });
+        let trees = match &mut contexts[..workers] {
+            [] => parallel::label_all(
+                graph.into(),
+                &landmarks,
+                &landmark_rank,
+                &mut [BuildContext::new()],
+            ),
+            some => parallel::label_all(graph.into(), &landmarks, &landmark_rank, some),
+        };
+        stats.label_us = t.elapsed().as_micros() as u64;
+        stats.landmark_labels = trees.iter().map(|t| t.labelled.len() as u64).collect();
+        stats.label_insertions = stats.landmark_labels.iter().sum();
+        stats.bfs_visits = trees.iter().map(|t| t.visits).sum();
+        stats.dominated = trees.iter().map(|t| t.dominated).sum();
+        emit(format!(
+            "label: {k} landmark tree(s) on {} worker(s) in {} µs \
+             (visits {}, labels {}, unlabelled via another landmark {})",
+            workers.max(1),
+            stats.label_us,
+            stats.bfs_visits,
+            stats.label_insertions,
+            stats.dominated
+        ));
+
+        let t = Instant::now();
+        let index = tree::assemble(landmarks, landmark_rank, &trees);
+        stats.flatten_us = t.elapsed().as_micros() as u64;
+        emit(format!(
+            "flatten: labels + highway laid out in {} µs",
+            stats.flatten_us
+        ));
+        stats.total_us = t_total.elapsed().as_micros() as u64;
+        emit(format!(
+            "build: done in {} µs ({:.1} % of visits unlabelled)",
+            stats.total_us,
+            stats.dominated_rate() * 100.0
+        ));
         index
     }
 
@@ -624,28 +551,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_size_one_matches_sequential_pruning_order() {
-        // Batch size 1 reproduces the fully sequential pruning order; the
-        // batched default can only label the same vertices or more.
-        let g = testkit::barabasi_albert(80, 3, 11);
-        let opts = |batch_size| BuildOptions {
-            num_landmarks: 16,
-            threads: 1,
-            batch_size,
-            selection: None,
-        };
-        let tight = HighwayCoverIndex::build_with(&g, &opts(1));
-        let batched = HighwayCoverIndex::build_with(&g, &opts(0));
-        assert!(tight.stats().total_label_entries <= batched.stats().total_label_entries);
-        // Both remain exact: spot-check a few pairs against the oracle.
-        for (u, v) in [(0, 79), (3, 41), (17, 17), (60, 2)] {
-            let expected = hcl_core::bfs::distance(&g, u, v);
-            assert_eq!(tight.query(&g, u, v), expected);
-            assert_eq!(batched.query(&g, u, v), expected);
-        }
-    }
-
-    #[test]
     fn build_stats_counters_are_thread_invariant_and_consistent() {
         let g = testkit::barabasi_albert(80, 3, 7);
         let opts = |threads| BuildOptions {
@@ -658,8 +563,8 @@ mod tests {
         let (idx1, s1) = HighwayCoverIndex::build_with_stats(&g, &opts(1), Some(&mut sink));
         let (idx4, s4) = HighwayCoverIndex::build_with_stats(&g, &opts(4), None);
 
-        // The counters are pure functions of (graph, selection, batch
-        // size) — identical across thread counts, like the index itself.
+        // The counters are pure functions of (graph, landmark set) —
+        // identical across thread counts, like the index itself.
         assert_eq!(s1.bfs_visits, s4.bfs_visits);
         assert_eq!(s1.label_insertions, s4.label_insertions);
         assert_eq!(s1.dominated, s4.dominated);
@@ -670,34 +575,29 @@ mod tests {
         );
 
         // Internal consistency: insertions account for every label entry,
-        // and every visit was either another landmark, dominated, or
-        // labelled.
+        // and every visit was another landmark, unlabelled, or labelled.
         assert_eq!(s1.label_insertions, idx1.stats().total_label_entries as u64);
         assert_eq!(s1.landmark_labels.iter().sum::<u64>(), s1.label_insertions);
+        assert_eq!(s1.landmark_labels.len(), 12);
         assert!(s1.bfs_visits >= s1.label_insertions + s1.dominated);
-        assert!(s1.domination_cut_rate() >= 0.0 && s1.domination_cut_rate() <= 1.0);
+        assert!(s1.dominated_rate() >= 0.0 && s1.dominated_rate() <= 1.0);
 
-        // 12 landmarks at the default batch size of 8 → 2 batches.
-        assert_eq!(s1.batch_us.len(), 2);
-
-        // The progress sink saw every phase.
-        assert!(lines.iter().any(|l| l.starts_with("select: ")));
-        assert!(lines.iter().any(|l| l.starts_with("batch 1: ")));
-        assert!(lines.iter().any(|l| l.starts_with("batch 2: ")));
-        assert!(lines.iter().any(|l| l.starts_with("closure: ")));
-        assert!(lines.iter().any(|l| l.starts_with("build: done")));
+        // The progress sink saw every phase, in order, once each.
+        let phases: Vec<&str> = lines
+            .iter()
+            .map(|l| l.split(':').next().unwrap_or(""))
+            .collect();
+        assert_eq!(phases, ["select", "label", "flatten", "build"]);
+        assert!(lines[3].starts_with("build: done"));
     }
 
     #[test]
     fn build_options_resolve_explicit_values() {
-        let opts = BuildOptions::default();
-        assert_eq!(opts.resolved_batch_size(), BuildOptions::DEFAULT_BATCH_SIZE);
         let explicit = BuildOptions {
             threads: 3,
-            batch_size: 5,
             ..BuildOptions::default()
         };
         assert_eq!(explicit.resolved_threads(), 3);
-        assert_eq!(explicit.resolved_batch_size(), 5);
+        assert_eq!(explicit.contexts().len(), 3);
     }
 }

@@ -1,24 +1,19 @@
-//! The multi-threaded build driver: scoped-thread landmark sharding.
+//! Scoped-thread landmark sharding for the build.
 //!
-//! Rayon-free by design (the build environment has no registry access):
-//! each batch opens a `std::thread::scope`, one worker per
-//! [`BuildContext`], and workers pull landmark ranks from a shared atomic
-//! cursor — cheap dynamic load balancing, since pruned-BFS cost varies by
-//! landmark. Workers return their fragments through the join handles; the
-//! driver sorts them by rank and merges, so the result is byte-identical
-//! to the sequential driver regardless of how the OS schedules workers.
-//!
-//! Spawning per batch keeps the lifetimes trivial (the scope's shared
-//! borrow of the state ends before the merge needs it mutably) and costs
-//! microseconds per batch — noise next to the BFS work a batch contains.
+//! Rayon-free by design (no third-party dependencies): one
+//! `std::thread::scope` with one worker per [`BuildContext`], workers
+//! pulling landmark ranks from a shared atomic cursor — cheap dynamic load
+//! balancing, since a tree's cost varies by landmark. Workers return their
+//! trees through the join handles; the builder sorts them by rank, so the
+//! result is byte-identical at every thread count regardless of how the OS
+//! schedules workers.
 
-use super::state::{pruned_bfs, BuildState, LandmarkFragment};
-use super::{BuildContext, Observer};
+use super::tree::{label_tree, LandmarkTree};
+use super::BuildContext;
 use crate::select::{checked_select, LandmarkSelector};
-use hcl_core::{GraphView, VertexId};
+use hcl_core::{DynGraphView, GraphView, VertexId};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread::ScopedJoinHandle;
-use std::time::Instant;
 
 /// Joins every handle, collecting the results; if any worker panicked,
 /// re-raises **after all workers are joined** as one coherent build panic.
@@ -29,7 +24,7 @@ use std::time::Instant;
 /// overwhelmingly common case: `panic!`, assertion failures, slice-index
 /// messages) are wrapped with build context; anything else is re-raised
 /// verbatim via `resume_unwind` so custom payloads still reach the caller.
-/// When several workers panic in one batch, the first (by spawn order)
+/// When several workers panic, the first (by spawn order)
 /// wins — one build failure, one report.
 fn join_workers<T>(handles: Vec<ScopedJoinHandle<'_, T>>) -> Vec<T> {
     let mut out = Vec::with_capacity(handles.len());
@@ -56,7 +51,7 @@ fn join_workers<T>(handles: Vec<ScopedJoinHandle<'_, T>>) -> Vec<T> {
 }
 
 /// Runs landmark selection on a scoped worker thread, under the same
-/// [`join_workers`] capture-and-re-raise discipline as the batched
+/// [`join_workers`] capture-and-re-raise discipline as the tree
 /// searches.
 ///
 /// Selection strategies are *pluggable* code — the one part of the build a
@@ -78,47 +73,46 @@ pub(crate) fn run_selection(
     })
 }
 
-pub(crate) fn run(
-    graph: GraphView<'_>,
-    state: &mut BuildState,
-    batch_size: usize,
+/// Labels every landmark tree, returned in rank order.
+///
+/// One context runs the trees in the calling thread; more open a
+/// `std::thread::scope` with one worker per context, each pulling ranks
+/// from a shared atomic cursor. Trees are independent of each other, so
+/// sorting the fragments by rank makes the result identical at every
+/// worker count.
+pub(crate) fn label_all(
+    graph: DynGraphView<'_>,
+    landmarks: &[VertexId],
+    landmark_rank: &[u32],
     contexts: &mut [BuildContext],
-    obs: &mut Observer<'_, '_>,
-) {
-    let k = state.num_landmarks();
-    let mut start = 0usize;
-    while start < k {
-        let end = (start + batch_size).min(k);
-        let cursor = AtomicUsize::new(start);
-        let snapshot: &BuildState = state;
-        let t = Instant::now();
-        let mut frags: Vec<LandmarkFragment> = std::thread::scope(|s| {
-            let handles: Vec<_> = contexts
-                .iter_mut()
-                .map(|cx| {
-                    let cursor = &cursor;
-                    s.spawn(move || {
-                        let mut out = Vec::new();
-                        loop {
-                            let rank = cursor.fetch_add(1, Ordering::Relaxed);
-                            if rank >= end {
-                                break;
-                            }
-                            out.push(pruned_bfs(graph, snapshot, rank, cx));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            join_workers(handles).into_iter().flatten().collect()
-        });
-        frags.sort_unstable_by_key(|f| f.rank);
-        obs.record_batch(start, end, k, t.elapsed().as_micros() as u64, &frags);
-        let t = Instant::now();
-        for frag in frags {
-            state.merge(frag);
-        }
-        obs.stats.merge_us += t.elapsed().as_micros() as u64;
-        start = end;
+) -> Vec<LandmarkTree> {
+    let k = landmarks.len();
+    if let [cx] = contexts {
+        return (0..k)
+            .map(|rank| label_tree(graph, landmarks, landmark_rank, rank, cx))
+            .collect();
     }
+    let cursor = AtomicUsize::new(0);
+    let mut trees: Vec<LandmarkTree> = std::thread::scope(|s| {
+        let handles: Vec<_> = contexts
+            .iter_mut()
+            .map(|cx| {
+                let cursor = &cursor;
+                s.spawn(move || {
+                    let mut out = Vec::new();
+                    loop {
+                        let rank = cursor.fetch_add(1, Ordering::Relaxed);
+                        if rank >= k {
+                            break;
+                        }
+                        out.push(label_tree(graph, landmarks, landmark_rank, rank, cx));
+                    }
+                    out
+                })
+            })
+            .collect();
+        join_workers(handles).into_iter().flatten().collect()
+    });
+    trees.sort_unstable_by_key(|t| t.rank);
+    trees
 }

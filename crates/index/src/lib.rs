@@ -3,9 +3,10 @@
 //!
 //! This crate implements the labelling scheme of the source paper
 //! (conf_edbt_Farhan021): pick the top-`k` highest-degree vertices as
-//! *landmarks*, run a *pruned* BFS from each landmark to build compact
-//! per-vertex label arrays plus a small `k × k` *highway* of
-//! landmark-to-landmark distances, and answer queries as
+//! *landmarks*, run one BFS from each landmark to build compact
+//! per-vertex label arrays — `v` holds `(r, d(r, v))` iff no shortest
+//! `r`–`v` path passes another landmark — plus a small `k × k` *highway*
+//! of exact landmark-to-landmark distances, and answer queries as
 //!
 //! ```text
 //! d(u, v) = min( label/highway upper bound,
@@ -18,11 +19,12 @@
 //! shortest paths in complex networks, and the fallback BFS explores only
 //! the sparse landmark-free residue of the graph.
 //!
-//! Construction runs the per-landmark pruned searches in deterministic
-//! rank-ordered batches, optionally sharded over scoped worker threads
-//! ([`BuildOptions`] / [`BuildContext`]); for a fixed batch size the built
-//! index is byte-identical at every thread count — see the `build` module
-//! docs for the visibility argument. *Which* vertices become landmarks is
+//! Construction runs the per-landmark searches independently, optionally
+//! sharded over scoped worker threads ([`BuildOptions`] /
+//! [`BuildContext`]); the labelling is a pure function of the graph and
+//! the landmark set, so the built index is byte-identical at every thread
+//! count, and [`DynamicIndex`] repairs it after edge edits to exactly what
+//! a rebuild would produce. *Which* vertices become landmarks is
 //! pluggable ([`LandmarkSelector`] / [`SelectionStrategy`]): degree
 //! ranking (the paper's default), greedy sampled-BFS coverage, or a seeded
 //! random baseline, each deterministic so the guarantee holds per
@@ -45,7 +47,7 @@
 //! Observability is a compile-time opt-in: the query path is generic over
 //! the [`Probe`] trait (no-op by default, so un-instrumented queries pay
 //! nothing) and [`QueryStats`] is the standard collector; builds report
-//! deterministic pruning counters and per-phase wall times through
+//! deterministic labelling counters and per-phase wall times through
 //! [`BuildStats`] / [`HighwayCoverIndex::build_with_stats`].
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

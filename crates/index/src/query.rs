@@ -160,7 +160,10 @@ impl<'a> IndexView<'a> {
     ///    over common hubs (galloping when the labels are skewed),
     ///    tightened by routing between *different* hubs across the highway
     ///    matrix. If any shortest `u`–`v` path touches a landmark, this
-    ///    bound is already exact.
+    ///    bound is already exact: the landmark `x` on such a path nearest
+    ///    `u` is in `L(u)` (no landmark sits between them), the landmark
+    ///    `y` nearest `v` on a shortest `x`–`v` path is in `L(v)`, and
+    ///    the highway holds `d(x, y)` exactly.
     /// 2. A bidirectional BFS that never expands through a landmark,
     ///    covering the only remaining case (a shortest path avoiding all
     ///    landmarks). The bound from phase 1 cuts the search off early.

@@ -1,58 +1,50 @@
 //! Incremental label repair under edge insertions and deletions.
 //!
 //! A built [`HighwayCoverIndex`](crate::HighwayCoverIndex) is frozen — its
-//! labels are CSR-flattened and its highway closed. This module keeps an
-//! *editable* twin, [`DynamicIndex`], that answers the same queries but can
-//! be repaired in place after an edge edit instead of rebuilt from scratch.
+//! labels are CSR-flattened. This module keeps an *editable* twin,
+//! [`DynamicIndex`], that answers the same queries but can be repaired in
+//! place after an edge edit instead of rebuilt from scratch.
 //!
-//! The repair contract is **answer identity, not byte identity**: after any
-//! sequence of edits, queries against the repaired index return exactly the
-//! distances a fresh rebuild on the edited graph would return. The repaired
-//! label *bytes* may differ (pruning decisions depend on history), which is
-//! fine — the property suite checks answers against the BFS oracle and a
-//! fresh rebuild after every step of seeded edit scripts.
+//! The repair contract is **byte identity**: after any sequence of edits,
+//! [`DynamicIndex::to_index`] equals a fresh build of the edited graph over
+//! the same landmark set — offsets, entries and highway. That holds
+//! because every landmark tree is a pure function of the graph and the
+//! landmark set (see the `build` module docs), so a tree the edit cannot
+//! change stays valid verbatim and every other tree is recomputed by the
+//! builder's own routine. `tests/dynamic_repair.rs` checks the identity
+//! after every step of seeded edit scripts.
 //!
 //! # How repair works
 //!
 //! The landmark set is kept fixed across edits (re-selection would force a
-//! full rebuild for no answer-quality gain; the landmarks stay exactly the
-//! vertices the original build chose). Each edit is processed as:
+//! full rebuild; the landmarks stay exactly the vertices the original
+//! build chose). Each edit `(u, v)` is processed as:
 //!
-//! 1. **Affected-tree detection** on the *pre-edit* graph: two full BFS
-//!    runs from the edit's endpoints `u` and `v` give `d(i, u)` and
-//!    `d(i, v)` for every landmark `i`. For an **insertion**, landmark
-//!    `i`'s distance function can only change if `|d(i,u) − d(i,v)| ≥ 2`
-//!    (a new strictly-shorter path must route through the new edge). For a
-//!    **deletion**, it can only change if `|d(i,u) − d(i,v)| == 1` (the
-//!    edge lies on a shortest path from `i` exactly when the endpoint
-//!    depths differ; equal depths mean no shortest path from `i` crosses
-//!    it).
-//! 2. **Exact highway patch**: each affected row is recomputed by a full
-//!    (unpruned) BFS from that landmark on the post-edit graph, then
-//!    mirrored to keep the matrix symmetric. Unaffected rows are untouched
-//!    — their distance functions did not change. The highway therefore
-//!    stays *exact* at all times (the build's Floyd–Warshall closure is
-//!    never needed again).
-//! 3. **Tree relabel**: stale per-landmark label trees are stripped and
-//!    regrown with the same pruned BFS discipline as the builder (landmark
-//!    stop + domination pruning against strictly lower-rank entries, in
-//!    rank order), reusing [`BuildContext`]'s scratch buffers.
-//!
-//! The relabel scope differs by edit kind, and the asymmetry is load
-//! bearing. An **insertion** only shrinks distances, so repairing just the
-//! affected trees preserves the cover property: an unaffected landmark's
-//! coverage can only improve when the entries it routes through get
-//! tighter. A **deletion** grows distances, which can silently break the
-//! coverage of *unaffected* landmarks whose cover routed through an
-//! affected hub — so a deletion with a non-empty affected set strips every
-//! label and regrows all trees (still cheaper than a rebuild: selection is
-//! skipped and unaffected highway rows are reused). A deletion whose
-//! affected set is empty is free: no label touches at all.
+//! 1. **Pre-edit distances from the index itself.** For every landmark
+//!    `r`, `d(r, x) = min over (rᵢ, δ) ∈ L(x) of δ + H(r, rᵢ)`, or the
+//!    highway entry when `x` is a landmark — exact by the highway cover
+//!    property, in `O(|L(x)| · k)` and with no graph search.
+//! 2. **Affected trees.** With `a = d(r, u)` and `b = d(r, v)` before the
+//!    edit:
+//!    * an **insertion** changes `r`'s distances iff `|a − b| ≥ 2` (or
+//!      exactly one endpoint was unreachable). With `|a − b| == 1` the
+//!      distances stay, but the nearer endpoint becomes a new parent of
+//!      the farther one in `r`'s shortest-path DAG; that flips labels only
+//!      if the nearer endpoint passes a landmark (it is a landmark other
+//!      than `r` or holds no `r` entry) while the farther one still holds
+//!      an `r` entry. Equal depths add no DAG edge.
+//!    * a **deletion** can change the tree only if the edge was a DAG edge
+//!      of `r`, i.e. `a != b` (the depths of adjacent vertices differ by
+//!      at most one).
+//! 3. **Per-tree repair.** Each affected tree's entries are stripped and
+//!    the builder's routine is re-run for it on the edited graph, which
+//!    also rewrites its exact highway row and column. Unaffected trees are
+//!    untouched. There is no full relabel: trees are independent.
 
+use crate::build::tree::label_tree;
 use crate::build::{sat_add, BuildContext, HighwayCoverIndex, NOT_A_LANDMARK};
 use crate::view::IndexView;
-use hcl_core::bfs::distances_from_with;
-use hcl_core::{DeltaError, DeltaGraph, DeltaOp, DynGraphView, EdgeDelta, VertexId, INFINITY};
+use hcl_core::{DeltaError, DeltaGraph, DeltaOp, EdgeDelta, VertexId, INFINITY};
 
 /// What one [`DynamicIndex::apply_and_repair`] call did, for logging,
 /// metrics, and the benchmark harness.
@@ -62,11 +54,10 @@ pub struct RepairOutcome {
     /// edge or deleting a missing one is a no-op and costs nothing beyond
     /// the membership probe).
     pub applied: bool,
-    /// Number of landmark trees whose distance function was (possibly)
-    /// affected by the edit.
+    /// Number of landmark trees the edit could change, each re-labelled.
     pub affected_landmarks: usize,
-    /// Whether the repair fell back to regrowing every tree (deletions
-    /// with a non-empty affected set; see the module docs for why).
+    /// Whether every landmark tree was affected (so the repair did the
+    /// labelling work of a full build, minus landmark selection).
     pub full_relabel: bool,
 }
 
@@ -145,7 +136,7 @@ impl DynamicIndex {
     }
 
     /// Applies one edge delta to `graph` and repairs the index so it
-    /// answers exactly for the edited graph.
+    /// equals a fresh build of the edited graph over the same landmarks.
     ///
     /// The delta is validated (range, self-loop) before anything is
     /// touched; on error neither the graph nor the index changes. An
@@ -165,8 +156,6 @@ impl DynamicIndex {
         let n = self.num_vertices();
         let k = self.num_landmarks();
         assert_eq!(graph.num_vertices(), n, "graph/index vertex count mismatch");
-        // Probe validity first so detection work is never wasted on a
-        // delta that will not apply.
         delta.validate(n)?;
         let effective = match delta.op {
             DeltaOp::Insert => !graph.has_edge(delta.u, delta.v),
@@ -176,196 +165,135 @@ impl DynamicIndex {
             return Ok(RepairOutcome::default());
         }
 
-        // Step 1: endpoint BFS on the *pre-edit* graph — the affected-tree
-        // tests below are stated in terms of old distances.
-        let mut d_landmarks_u = vec![INFINITY; k];
-        let mut d_landmarks_v = vec![INFINITY; k];
-        if k > 0 {
-            distances_from_with(&*graph, delta.u, &mut cx.scratch);
-            for (i, &lm) in self.landmarks.iter().enumerate() {
-                d_landmarks_u[i] = cx.scratch.dist[lm as usize];
-            }
-            distances_from_with(&*graph, delta.v, &mut cx.scratch);
-            for (i, &lm) in self.landmarks.iter().enumerate() {
-                d_landmarks_v[i] = cx.scratch.dist[lm as usize];
-            }
-            cx.scratch.reset();
-        }
-
+        // The affected-tree tests read *pre-edit* distances out of the
+        // index, so they run before the graph changes.
+        let affected: Vec<usize> = (0..k).filter(|&r| self.affects(r, delta)).collect();
         let applied = graph.apply(delta)?;
         debug_assert!(applied, "membership probe and apply disagreed");
 
-        let affected: Vec<usize> = (0..k)
-            .filter(|&i| {
-                let (a, b) = (d_landmarks_u[i], d_landmarks_v[i]);
-                match delta.op {
-                    // A new edge only creates shorter paths from landmark i
-                    // if hopping it beats the old detour; both endpoints
-                    // unreachable stay unreachable (the new edge cannot be
-                    // reached from i at all).
-                    DeltaOp::Insert => {
-                        if a == INFINITY || b == INFINITY {
-                            a != b
-                        } else {
-                            a.abs_diff(b) >= 2
-                        }
-                    }
-                    // A removed edge lies on a shortest path from i exactly
-                    // when the endpoint depths differ (by 1, since the edge
-                    // existed; equal depths mean no shortest path from i
-                    // crosses it, so i's distances cannot change).
-                    DeltaOp::Delete => a != b,
-                }
-            })
-            .collect();
-
-        if affected.is_empty() {
-            return Ok(RepairOutcome {
-                applied: true,
-                affected_landmarks: 0,
-                full_relabel: false,
-            });
-        }
-
-        // Step 2: recompute affected highway rows exactly on the post-edit
-        // graph, mirroring writes to preserve symmetry. Unaffected rows
-        // are already exact — their landmarks' distances did not change.
-        let view = graph.as_dyn_view();
-        for &i in &affected {
-            distances_from_with(view, self.landmarks[i], &mut cx.scratch);
-            for j in 0..k {
-                let d = cx.scratch.dist[self.landmarks[j] as usize];
-                self.highway[i * k + j] = d;
-                self.highway[j * k + i] = d;
-            }
-        }
-        cx.scratch.reset();
-
-        // Step 3: strip and regrow stale trees. Insertions repair only the
-        // affected trees; deletions with a non-empty affected set regrow
-        // everything (see module docs for the coverage argument).
-        let full_relabel = matches!(delta.op, DeltaOp::Delete);
-        if full_relabel {
-            for per_vertex in &mut self.labels {
-                per_vertex.clear();
-            }
-            for rank in 0..k {
-                self.relabel_tree(view, rank, cx);
-            }
-        } else {
+        if !affected.is_empty() {
             let mut stale = vec![false; k];
-            for &i in &affected {
-                stale[i] = true;
+            for &r in &affected {
+                stale[r] = true;
             }
             for per_vertex in &mut self.labels {
-                per_vertex.retain(|&(rank, _)| !stale[rank as usize]);
+                per_vertex.retain(|&(r, _)| !stale[r as usize]);
             }
-            for &rank in &affected {
-                self.relabel_tree(view, rank, cx);
+            let view = graph.as_dyn_view();
+            for &r in &affected {
+                let tree = label_tree(view, &self.landmarks, &self.landmark_rank, r, cx);
+                for (v, d) in tree.labelled {
+                    let entries = &mut self.labels[v as usize];
+                    let pos = entries.partition_point(|&(hub, _)| hub < r as u32);
+                    entries.insert(pos, (r as u32, d));
+                }
+                for (j, &d) in tree.highway_row.iter().enumerate() {
+                    self.highway[r * k + j] = d;
+                    self.highway[j * k + r] = d;
+                }
             }
         }
 
         Ok(RepairOutcome {
             applied: true,
             affected_landmarks: affected.len(),
-            full_relabel,
+            full_relabel: k > 0 && affected.len() == k,
         })
     }
 
-    /// Regrows one landmark's label tree with the builder's pruned BFS
-    /// discipline: stop at other landmarks (the highway row is already
-    /// exact, so no seeds are collected), and skip vertices whose existing
-    /// *lower-rank* entries already cover them at least as well.
-    ///
-    /// Restricting domination to strictly lower ranks mirrors the
-    /// builder's strict batch ordering and is what makes regrowth sound:
-    /// the classic pruned-labelling induction (a pruned vertex is covered
-    /// through a smaller-rank hub, recursively) needs the rank order to
-    /// terminate.
-    fn relabel_tree(&mut self, graph: DynGraphView<'_>, rank: usize, cx: &mut BuildContext) {
-        let k = self.landmarks.len();
-        let root = self.landmarks[rank];
-        let rank32 = rank as u32;
-
-        cx.scratch.reset();
-        cx.scratch.ensure_capacity(graph.num_vertices());
-        cx.highway_row.clear();
-        cx.highway_row
-            .extend_from_slice(&self.highway[rank * k..(rank + 1) * k]);
-
-        insert_sorted(&mut self.labels[root as usize], rank32, 0);
-        cx.scratch.dist[root as usize] = 0;
-        cx.scratch.touched.push(root);
-        cx.scratch.queue.push_back(root);
-
-        while let Some(v) = cx.scratch.queue.pop_front() {
-            let d = cx.scratch.dist[v as usize];
-            if v != root {
-                if self.landmark_rank[v as usize] != NOT_A_LANDMARK {
-                    // Another landmark: the exact highway already carries
-                    // this distance, and searches never expand through
-                    // landmarks.
-                    continue;
+    /// Whether the tree of landmark `r` can change under `delta`, judged
+    /// on the pre-edit index (see the module docs for the rule).
+    fn affects(&self, r: usize, delta: EdgeDelta) -> bool {
+        let (a, b) = (self.depth(r, delta.u), self.depth(r, delta.v));
+        match delta.op {
+            DeltaOp::Insert => match a.abs_diff(b) {
+                0 => false,
+                1 => {
+                    let (near, far) = if a < b {
+                        (delta.u, delta.v)
+                    } else {
+                        (delta.v, delta.u)
+                    };
+                    self.passes_landmark(r, near) && !self.passes_landmark(r, far)
                 }
-                let dominated = self.labels[v as usize].iter().any(|&(j, dj)| {
-                    if j >= rank32 {
-                        return false;
-                    }
-                    let h = cx.highway_row[j as usize];
-                    h != INFINITY && sat_add(h, dj) <= d
-                });
-                if dominated {
-                    continue;
-                }
-                insert_sorted(&mut self.labels[v as usize], rank32, d);
-            }
-            for &w in graph.neighbors(v) {
-                if cx.scratch.dist[w as usize] == INFINITY {
-                    cx.scratch.dist[w as usize] = d + 1;
-                    cx.scratch.touched.push(w);
-                    cx.scratch.queue.push_back(w);
-                }
-            }
+                // Includes exactly one endpoint unreachable from r.
+                _ => true,
+            },
+            DeltaOp::Delete => a != b,
         }
-        cx.scratch.reset();
     }
-}
 
-/// Inserts `(rank, d)` into a rank-sorted label vector, replacing any
-/// existing entry for the same rank (regrowth after a strip never sees one,
-/// but root self-entries of unaffected-then-regrown trees do).
-fn insert_sorted(entries: &mut Vec<(u32, u32)>, rank: u32, d: u32) {
-    match entries.binary_search_by_key(&rank, |&(r, _)| r) {
-        Ok(pos) => entries[pos] = (rank, d),
-        Err(pos) => entries.insert(pos, (rank, d)),
+    /// `d(r, x)` read from the index: the highway entry when `x` is a
+    /// landmark, else the best route through one of `x`'s label hubs.
+    fn depth(&self, r: usize, x: VertexId) -> u32 {
+        let k = self.num_landmarks();
+        let row = &self.highway[r * k..(r + 1) * k];
+        match self.landmark_rank[x as usize] {
+            NOT_A_LANDMARK => self.labels[x as usize]
+                .iter()
+                .map(|&(hub, d)| sat_add(row[hub as usize], d))
+                .min()
+                .unwrap_or(INFINITY),
+            rank => row[rank as usize],
+        }
+    }
+
+    /// Whether some shortest `r`–`x` path passes a landmark other than `r`
+    /// (`x` included): exactly when `x` holds no `r` entry.
+    fn passes_landmark(&self, r: usize, x: VertexId) -> bool {
+        self.labels[x as usize]
+            .binary_search_by_key(&(r as u32), |&(hub, _)| hub)
+            .is_err()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BuildOptions, HighwayCoverIndex, QueryContext};
-    use hcl_core::Graph;
+    use crate::{BuildOptions, HighwayCoverIndex, LandmarkSelector, QueryContext};
+    use hcl_core::{Graph, GraphView};
 
-    fn assert_answers_match_rebuild(graph: &DeltaGraph<'_>, dynamic: &DynamicIndex, k: usize) {
+    /// Selects a fixed landmark list, so a rebuild keeps repair's landmarks.
+    struct Fixed(Vec<VertexId>);
+
+    impl LandmarkSelector for Fixed {
+        fn name(&self) -> &'static str {
+            "fixed"
+        }
+
+        fn select(&self, _graph: GraphView<'_>, k: usize) -> Vec<VertexId> {
+            self.0[..k].to_vec()
+        }
+    }
+
+    fn build_fixed(graph: &Graph, landmarks: &[VertexId]) -> HighwayCoverIndex {
+        let options = BuildOptions {
+            num_landmarks: landmarks.len(),
+            threads: 1,
+            ..Default::default()
+        };
+        let fixed = Fixed(landmarks.to_vec());
+        HighwayCoverIndex::build_in_with_selector(graph, &options, &mut [], &fixed)
+    }
+
+    /// The repaired index must equal a fresh build over the same
+    /// landmarks byte for byte, and answer like the BFS oracle.
+    fn assert_matches_rebuild(graph: &DeltaGraph<'_>, dynamic: &DynamicIndex) {
         let edited = graph.to_graph();
-        let rebuilt = HighwayCoverIndex::build_with(
-            &edited,
-            &BuildOptions {
-                num_landmarks: k,
-                ..Default::default()
-            },
-        );
         let repaired = dynamic.to_index();
-        let mut cx_a = QueryContext::new();
-        let mut cx_b = QueryContext::new();
+        let rebuilt = build_fixed(&edited, &dynamic.landmarks);
+        let (rep, reb) = (repaired.as_view(), rebuilt.as_view());
+        assert_eq!(rep.label_offsets(), reb.label_offsets(), "offsets");
+        assert_eq!(rep.label_entries(), reb.label_entries(), "entries");
+        assert_eq!(rep.highway(), reb.highway(), "highway");
+        let mut cx = QueryContext::new();
         let n = edited.num_vertices() as u32;
         for u in 0..n {
             for v in 0..n {
                 assert_eq!(
-                    repaired.as_view().query_with(&edited, &mut cx_a, u, v),
-                    rebuilt.as_view().query_with(&edited, &mut cx_b, u, v),
-                    "repaired vs rebuilt answer diverged for ({u}, {v})"
+                    rep.query_with(&edited, &mut cx, u, v),
+                    hcl_core::bfs::distance(&edited, u, v),
+                    "repaired answer wrong for ({u}, {v})"
                 );
             }
         }
@@ -435,7 +363,7 @@ mod tests {
             .apply_and_repair(&mut graph, EdgeDelta::insert(0, 6), &mut cx)
             .unwrap();
         assert!(out.applied && out.affected_landmarks > 0 && !out.full_relabel);
-        assert_answers_match_rebuild(&graph, &dynamic, 3);
+        assert_matches_rebuild(&graph, &dynamic);
     }
 
     #[test]
@@ -457,7 +385,7 @@ mod tests {
             .apply_and_repair(&mut graph, EdgeDelta::delete(2, 3), &mut cx)
             .unwrap();
         assert!(out.applied);
-        assert_answers_match_rebuild(&graph, &dynamic, 2);
+        assert_matches_rebuild(&graph, &dynamic);
     }
 
     #[test]
@@ -484,7 +412,54 @@ mod tests {
             dynamic
                 .apply_and_repair(&mut graph, delta, &mut cx)
                 .unwrap();
-            assert_answers_match_rebuild(&graph, &dynamic, 4);
+            assert_matches_rebuild(&graph, &dynamic);
+        }
+    }
+
+    #[test]
+    fn insert_that_reroutes_through_a_landmark_drops_the_entry() {
+        // Landmarks 0 (rank 0) and 1 (rank 1). From 0, vertex 2 is only
+        // reachable through landmark 1, while 5 hangs off the landmark-free
+        // branch 0-3-4-5. Inserting (2, 5) keeps d(0, 5) = 3 but gives 5 a
+        // parent that passes landmark 1, so 5 must lose its rank-0 entry.
+        let g = Graph::from_edges(&[(0, 1), (1, 2), (0, 3), (3, 4), (4, 5)]);
+        let built = build_fixed(&g, &[0, 1]);
+        assert!(built.label(5).any(|(hub, d)| hub == 0 && d == 3));
+        let mut dynamic = DynamicIndex::from_view(built.as_view());
+        let mut graph = DeltaGraph::new(g.as_view());
+        let mut cx = BuildContext::new();
+        let out = dynamic
+            .apply_and_repair(&mut graph, EdgeDelta::insert(2, 5), &mut cx)
+            .unwrap();
+        assert_eq!(out.affected_landmarks, 2);
+        assert!(out.full_relabel);
+        assert!(dynamic.labels[5].iter().all(|&(hub, _)| hub != 0));
+        assert_matches_rebuild(&graph, &dynamic);
+
+        // Deleting it again restores the landmark-free route's entry.
+        dynamic
+            .apply_and_repair(&mut graph, EdgeDelta::delete(2, 5), &mut cx)
+            .unwrap();
+        assert!(dynamic.labels[5].contains(&(0, 3)));
+        assert_matches_rebuild(&graph, &dynamic);
+    }
+
+    #[test]
+    fn equal_depth_edits_touch_no_tree() {
+        // 1 and 2 sit at depth 1 from the only landmark 0: an edge between
+        // them is on no shortest path from 0, in either direction of edit.
+        let g = Graph::from_edges(&[(0, 1), (0, 2), (1, 3), (2, 3)]);
+        let built = build_fixed(&g, &[0]);
+        let mut dynamic = DynamicIndex::from_view(built.as_view());
+        let mut graph = DeltaGraph::new(g.as_view());
+        let mut cx = BuildContext::new();
+        for delta in [EdgeDelta::insert(1, 2), EdgeDelta::delete(1, 2)] {
+            let out = dynamic
+                .apply_and_repair(&mut graph, delta, &mut cx)
+                .unwrap();
+            assert!(out.applied);
+            assert_eq!(out.affected_landmarks, 0);
+            assert_matches_rebuild(&graph, &dynamic);
         }
     }
 }

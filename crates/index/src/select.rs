@@ -28,9 +28,9 @@
 //! A selector must be a **pure function of the graph and its own
 //! configuration** (seed included): same inputs, same output, on every
 //! machine and at every thread count. Selection runs once, before the
-//! batched landmark searches, so the builder's byte-identical-across-
-//! threads guarantee holds *per strategy* — the built index is a pure
-//! function of `(graph, k, batch size, strategy)`. The seeded strategies
+//! landmark searches, so the builder's byte-identical-across-threads
+//! guarantee holds *per strategy* — the built index is a pure function of
+//! `(graph, k, strategy)`. The seeded strategies
 //! draw from [`SplitMix64`] (`hcl_core::rng`), whose output stream is
 //! **frozen** (pinned by a constants test): recorded seeds in v4
 //! containers must reproduce identical selections across releases.

@@ -205,7 +205,7 @@ pub struct IndexView<'a> {
     /// Packed `(hub << 32) | dist` label entries, hub-ascending (hence
     /// `u64`-ascending) within each vertex.
     pub(crate) label_entries: &'a [u64],
-    /// Row-major `k × k` closed landmark-to-landmark distances.
+    /// Row-major `k × k` exact landmark-to-landmark distances.
     pub(crate) highway: &'a [u32],
 }
 
@@ -393,7 +393,7 @@ impl<'a> IndexView<'a> {
         self.label_entries
     }
 
-    /// Row-major `k × k` closed highway matrix (for serialisation).
+    /// Row-major `k × k` highway matrix (for serialisation).
     pub fn highway(&self) -> &'a [u32] {
         self.highway
     }

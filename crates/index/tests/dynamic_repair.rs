@@ -1,34 +1,46 @@
 //! Property suite for incremental label repair: seeded random edit
 //! scripts (mixed insert/delete) over the eleven graph families, asserting
-//! after **every** step that the repaired index answers identically to a
-//! fresh rebuild on the edited graph — and to the BFS oracle on a sampled
-//! pair set — at 1 and 4 build threads.
-//!
-//! This is the acceptance gate for the dynamic-graphs tentpole: repair is
-//! allowed to produce different label *bytes* than a rebuild (pruning
-//! decisions are history-dependent), but never a different *answer*.
+//! after **every** step that the repaired index is byte-identical to a
+//! fresh build of the edited graph over the same landmark set — offsets,
+//! entries and highway — and answers like the BFS oracle on a sampled pair
+//! set, at 1 and 4 build threads.
 
 use hcl_core::testkit::{families, SplitMix64};
-use hcl_core::{bfs, DeltaGraph, EdgeDelta};
+use hcl_core::{bfs, DeltaGraph, EdgeDelta, GraphView, VertexId};
 use hcl_index::repair::DynamicIndex;
-use hcl_index::{BuildContext, BuildOptions, HighwayCoverIndex, QueryContext};
+use hcl_index::{BuildContext, BuildOptions, HighwayCoverIndex, LandmarkSelector, QueryContext};
 
-const SCRIPT_LEN: usize = 12;
+const SCRIPT_LEN: usize = 24;
 
-/// Drives one seeded edit script over one family and checks answer
-/// identity after every effective step.
-fn run_script(name: &str, base: &hcl_core::Graph, threads: usize, seed: u64) {
+/// Selects a fixed landmark list, so a rebuild of the edited graph keeps
+/// the landmarks repair keeps (degree ranking would drift with the edits).
+struct Fixed(Vec<VertexId>);
+
+impl LandmarkSelector for Fixed {
+    fn name(&self) -> &'static str {
+        "fixed"
+    }
+
+    fn select(&self, _graph: GraphView<'_>, k: usize) -> Vec<VertexId> {
+        self.0[..k].to_vec()
+    }
+}
+
+/// Drives one seeded edit script over one family and checks byte and
+/// answer identity after every effective step.
+fn run_script(name: &str, base: &hcl_core::Graph, threads: usize, k: usize, seed: u64) {
     let n = base.num_vertices();
     if n < 2 {
         return; // no representable edge edits
     }
-    let k = n.min(4);
     let options = BuildOptions {
-        num_landmarks: k,
+        num_landmarks: k.min(n),
         threads,
         ..Default::default()
     };
     let built = HighwayCoverIndex::build_with(base, &options);
+    let fixed = Fixed(built.as_view().landmarks().to_vec());
+    let mut pool: Vec<BuildContext> = (0..threads).map(|_| BuildContext::new()).collect();
     let mut dynamic = DynamicIndex::from_view(built.as_view());
     let mut graph = DeltaGraph::new(base.as_view());
     let mut cx = BuildContext::new();
@@ -51,8 +63,15 @@ fn run_script(name: &str, base: &hcl_core::Graph, threads: usize, seed: u64) {
         assert!(outcome.applied, "[{name}] step {step}: {delta} was a no-op");
 
         let edited = graph.to_graph();
-        let rebuilt = HighwayCoverIndex::build_with(&edited, &options);
+        let rebuilt =
+            HighwayCoverIndex::build_in_with_selector(&edited, &options, &mut pool, &fixed);
         let repaired = dynamic.to_index();
+        let (rep, reb) = (repaired.as_view(), rebuilt.as_view());
+        let at = format!("[{name}] k={k} step {step} ({delta}, threads {threads})");
+        assert_eq!(rep.landmarks(), reb.landmarks(), "{at}: landmarks");
+        assert_eq!(rep.label_offsets(), reb.label_offsets(), "{at}: offsets");
+        assert_eq!(rep.label_entries(), reb.label_entries(), "{at}: entries");
+        assert_eq!(rep.highway(), reb.highway(), "{at}: highway");
         let mut cx_rep = QueryContext::new();
         let mut cx_reb = QueryContext::new();
         let mut oracle_scratch = bfs::BfsScratch::new();
@@ -72,8 +91,7 @@ fn run_script(name: &str, base: &hcl_core::Graph, threads: usize, seed: u64) {
             let want = rebuilt.as_view().query_with(&edited, &mut cx_reb, a, b);
             assert_eq!(
                 got, want,
-                "[{name}] step {step} ({delta}, threads {threads}): repaired vs rebuilt \
-                 diverged on ({a}, {b})"
+                "{at}: repaired vs rebuilt diverged on ({a}, {b})"
             );
             // Spot-check against ground truth too, so a bug shared by
             // repair and rebuild cannot slip through as "identical".
@@ -81,8 +99,7 @@ fn run_script(name: &str, base: &hcl_core::Graph, threads: usize, seed: u64) {
                 let truth = bfs::distance_with(&edited, a, b, &mut oracle_scratch);
                 assert_eq!(
                     got, truth,
-                    "[{name}] step {step} ({delta}): repaired answer wrong vs oracle \
-                     on ({a}, {b})"
+                    "{at}: repaired answer wrong vs oracle on ({a}, {b})"
                 );
             }
         }
@@ -92,14 +109,30 @@ fn run_script(name: &str, base: &hcl_core::Graph, threads: usize, seed: u64) {
 #[test]
 fn edit_scripts_match_rebuild_over_all_families_single_thread() {
     for (name, graph) in families() {
-        run_script(&name, &graph, 1, 0xA11C_E5ED ^ graph.num_vertices() as u64);
+        for k in [4, 8] {
+            run_script(
+                &name,
+                &graph,
+                1,
+                k,
+                0xA11C_E5ED ^ graph.num_vertices() as u64,
+            );
+        }
     }
 }
 
 #[test]
 fn edit_scripts_match_rebuild_over_all_families_four_threads() {
     for (name, graph) in families() {
-        run_script(&name, &graph, 4, 0xB0B5_1ED5 ^ graph.num_vertices() as u64);
+        for k in [4, 8] {
+            run_script(
+                &name,
+                &graph,
+                4,
+                k,
+                0xB0B5_1ED5 ^ graph.num_vertices() as u64,
+            );
+        }
     }
 }
 

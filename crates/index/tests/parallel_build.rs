@@ -1,8 +1,8 @@
-//! Determinism property tests for the batched parallel builder: for a
-//! fixed batch size, every thread count must produce an index whose five
-//! arrays are **identical** to the sequential (`threads = 1`) build — over
-//! every testkit family, multiple landmark counts, and several batch
-//! sizes. This is the contract that lets `hcl build --threads N` persist
+//! Determinism property tests for the parallel builder: every thread
+//! count must produce an index whose five arrays are **identical** to the
+//! sequential (`threads = 1`) build — over every testkit family and
+//! multiple landmark counts, and whatever the ignored legacy batch size.
+//! This is the contract that lets `hcl build --threads N` persist
 //! byte-identical `.hcl` containers regardless of the machine it ran on.
 
 use hcl_core::{testkit, GraphView, VertexId};
@@ -41,27 +41,22 @@ fn every_thread_count_builds_the_identical_index() {
 }
 
 #[test]
-fn batch_size_shapes_output_identically_across_thread_counts() {
-    // Sweep batch sizes, including 1 (fully sequential pruning order) and
-    // sizes larger than the landmark count (one batch, no cross-batch
-    // pruning at all): each is a distinct canonical output, and every
-    // thread count must reproduce it exactly.
+fn legacy_batch_size_never_changes_the_index() {
+    // The builder once ran landmarks in batches and every batch size gave
+    // a different labelling; trees are independent now, so every legacy
+    // value at every thread count must reproduce the same arrays.
     let g = testkit::barabasi_albert(64, 3, 13);
-    for batch_size in [1usize, 2, 3, 8, 64] {
-        let opts = |threads| BuildOptions {
-            num_landmarks: 16,
-            threads,
-            batch_size,
-            selection: None,
-        };
-        let sequential = HighwayCoverIndex::build_with(&g, &opts(1));
-        for threads in [2usize, 4, 8] {
-            let parallel = HighwayCoverIndex::build_with(&g, &opts(threads));
-            assert_identical(
-                &format!("b={batch_size} t={threads}"),
-                &sequential,
-                &parallel,
-            );
+    let opts = |threads, batch_size| BuildOptions {
+        num_landmarks: 16,
+        threads,
+        batch_size,
+        selection: None,
+    };
+    let reference = HighwayCoverIndex::build_with(&g, &opts(1, 0));
+    for batch_size in [0usize, 1, 2, 3, 8, 64] {
+        for threads in [1usize, 2, 4, 8] {
+            let other = HighwayCoverIndex::build_with(&g, &opts(threads, batch_size));
+            assert_identical(&format!("b={batch_size} t={threads}"), &reference, &other);
         }
     }
 }
@@ -88,7 +83,7 @@ fn build_in_reuses_contexts_across_builds() {
 #[test]
 fn every_strategy_is_thread_count_invariant() {
     // The byte-identity guarantee must hold *per selection strategy*:
-    // selection runs once, deterministically, before the batched searches,
+    // selection runs once, deterministically, before the tree searches,
     // so the thread count can never change which landmarks anchor the
     // index — or anything downstream of them.
     let strategies = [
@@ -189,7 +184,7 @@ fn worker_panics_reraise_as_one_coherent_build_panic() {
 #[test]
 fn parallel_output_stays_exact_against_the_oracle() {
     // Equality above ties every thread count to the sequential output;
-    // this ties the batched output itself to ground truth on a graph with
+    // this ties the parallel output itself to ground truth on a graph with
     // unreachable pairs.
     let g = testkit::disjoint_union(&testkit::barabasi_albert(40, 2, 5), &testkit::grid(4, 4));
     let idx = HighwayCoverIndex::build_with(

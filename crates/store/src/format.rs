@@ -17,7 +17,8 @@
 //!     48     8  num_landmarks (u64 LE)
 //!     56     8  total label entries (u64 LE)
 //!     64     4  build metadata: builder worker threads (u32 LE, 0 = unrecorded)
-//!     68     4  build metadata: landmark batch size (u32 LE, 0 = unrecorded)
+//!     68     4  build metadata: legacy landmark batch size (u32 LE; 0 =
+//!               unrecorded, always 0 for current builds)
 //!     72     4  landmark-selection strategy tag (u32 LE, v4+; see
 //!               `SelectionStrategy::tag` — 0 = degree-rank)
 //!     76     4  reserved (zeroed, ignored on read)
@@ -257,27 +258,29 @@ const STATS_FORMAT_TAG: u64 = 1;
 ///
 /// Wall times are deliberately **not** stored: the same graph built with
 /// any thread count must produce byte-identical sections (the determinism
-/// contract `hcl-index`'s batched build provides), and timings would break
-/// that. The payload is a flat `u64` array:
+/// contract `hcl-index`'s build provides), and timings would break that.
+/// The payload is a flat `u64` array:
 ///
 /// ```text
 /// word  value
 /// ----  ---------------------------------------------------------
 ///    0  stats format tag (currently 1)
-///    1  bfs_visits — vertices dequeued across all pruned BFS runs
+///    1  bfs_visits — vertices visited across all landmark BFS runs
 ///    2  label_insertions — label entries written (Σ landmark_labels)
-///    3  dominated — vertices cut by domination pruning
+///    3  dominated — reached vertices left unlabelled because a shortest
+///       path from the landmark passes another landmark (files written
+///       before the order-free labelling count domination prunes here)
 ///    4  k — landmark count (length of the per-landmark array)
 /// 5..5+k  landmark_labels[i] — label entries contributed by rank i
 /// ```
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct StoredBuildStats {
-    /// Vertices dequeued across all pruned landmark BFS runs.
+    /// Vertices visited across all landmark BFS runs.
     pub bfs_visits: u64,
     /// Total label entries inserted (equals the index's entry count).
     pub label_insertions: u64,
-    /// Vertices cut by domination pruning (visited, neither labelled nor
-    /// expanded).
+    /// Reached non-landmark vertices left unlabelled because a shortest
+    /// path from the searching landmark passes another landmark.
     pub dominated: u64,
     /// Label entries contributed by each landmark, indexed by rank.
     pub landmark_labels: Vec<u64>,
@@ -295,8 +298,9 @@ impl StoredBuildStats {
         }
     }
 
-    /// Fraction of BFS visits cut by domination pruning, in `[0, 1]`.
-    pub fn domination_cut_rate(&self) -> f64 {
+    /// Fraction of BFS visits left unlabelled as
+    /// [`dominated`](Self::dominated), in `[0, 1]`.
+    pub fn dominated_rate(&self) -> f64 {
         if self.bfs_visits == 0 {
             0.0
         } else {
@@ -432,12 +436,14 @@ impl StoredJournal {
 /// How an index was built, recorded in the container header's
 /// build-metadata bytes. It never affects how the file is *served*, but it
 /// makes a persisted index reproducible — same graph, same landmark count,
-/// same batch size, same selection strategy ⇒ byte-identical sections on
-/// any machine — and lets `hcl inspect` and capacity tooling tell builds
-/// apart.
+/// same selection strategy ⇒ byte-identical sections on any machine — and
+/// lets `hcl inspect` and capacity tooling tell builds apart.
 ///
 /// `0` in `threads`/`batch_size` means "unrecorded" (e.g. a file written
 /// through the plain [`serialize`]/[`save`](crate::save) entry points).
+/// Current builds always write `batch_size = 0`: the field survives from
+/// the batched builder, and a nonzero value marks a file whose labels that
+/// builder produced.
 /// The strategy field always holds a concrete value; v2/v3 files (and
 /// plain-serialize v4 files) carry [`SelectionStrategy::DegreeRank`], the
 /// only strategy that existed before v4.
@@ -445,8 +451,8 @@ impl StoredJournal {
 pub struct BuildInfo {
     /// Worker threads the builder ran with.
     pub threads: u32,
-    /// Landmarks per batch (the parameter that shapes the labelling; see
-    /// `hcl-index`'s build docs).
+    /// Landmarks per batch of the retired batched builder; `0` for every
+    /// current build.
     pub batch_size: u32,
     /// Landmark-selection strategy (and its seed) the index was built
     /// with. Recorded as a `(tag, seed)` pair in the v4 header.

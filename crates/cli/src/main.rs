@@ -131,25 +131,27 @@ const USAGE: &str = "usage: hcl <command> [args]\n\
            Live edge updates: a stdin line `+u v` inserts the edge (u, v)\n\
            and `-u v` deletes it — the index is repaired incrementally\n\
            (no rebuild), answers after the line reflect the edit, and\n\
-           with --index the journalled container is written back to disk.\n\
+           with --index the delta is appended to the delta WAL\n\
+           <FILE.hcl>.wal (one fdatasync'd record) before it is served.\n\
            In listen mode, POST /update with a body of such lines does\n\
            the same atomically (in-flight queries finish on the old\n\
-           generation). --compact-after N folds the journal into the\n\
-           base sections once N deltas accumulate (0 = never, default).\n\
+           generation). --compact-after N checkpoints the live state into\n\
+           a new container once N deltas are pending (0 = never, default).\n\
        update <FILE.hcl> [--deltas FILE] [--compact-after N] [--compact]\n\
               [--trusted]\n\
            Apply a script of `+u v` / `-u v` edge deltas to a saved\n\
            container offline, repairing the labels incrementally (no\n\
-           rebuild) and journalling the deltas for crash-safe replay at\n\
-           open. Deltas come from --deltas FILE or stdin; every\n\
-           non-comment line must be a delta (strict, unlike serve).\n\
-           --compact folds the journal into the base sections now;\n\
-           --compact-after N folds automatically once N deltas are\n\
-           pending. --trusted skips the open-time checksum pass.\n\
+           rebuild) and appending the deltas as one record to the delta\n\
+           WAL <FILE.hcl>.wal, replayed at open. Deltas come from\n\
+           --deltas FILE or stdin; every non-comment line must be a delta\n\
+           (strict, unlike serve). --compact checkpoints the live state\n\
+           into a new container now (the WAL is removed); --compact-after\n\
+           N does so once N deltas are pending. --trusted skips the\n\
+           open-time checksum pass.\n\
        inspect <FILE.hcl> [--stats]\n\
-           Print header metadata, build statistics, journal state\n\
-           (pending deltas, size, compactions — format v6+), and the\n\
-           section table.\n\
+           Print header metadata, build statistics, pending deltas\n\
+           (journal section and delta WAL), WAL frames and bytes (and\n\
+           whether it is stale), compactions, and the section table.\n\
            --stats adds the label-size histogram (p50/p99/max entries per\n\
            vertex), the top hubs by label frequency, and the recorded\n\
            build counters (BFS visits, vertices left unlabelled because a\n\
@@ -498,12 +500,8 @@ impl Source {
     fn into_store(self) -> Result<IndexStore, String> {
         match self {
             Source::Stored(store) => Ok(*store),
-            Source::Built { graph, index } => {
-                let bytes = hcl_store::serialize(&graph, &index)
-                    .map_err(|e| format!("serialising built index: {e}"))?;
-                IndexStore::from_bytes_trusted(&bytes)
-                    .map_err(|e| format!("re-opening built index image: {e}"))
-            }
+            Source::Built { graph, index } => IndexStore::from_owned(&graph, &index)
+                .map_err(|e| format!("storing built index: {e}")),
         }
     }
 }
@@ -1297,59 +1295,59 @@ fn apply_seq_delta(
         }
     };
     if engine.is_none() {
-        *engine = Some(match source {
+        let created = match source {
             Source::Stored(store) => update::UpdateEngine::from_store(
                 store,
                 index_path.map(std::path::PathBuf::from),
                 compact_after,
             ),
-            Source::Built { graph, index } => {
-                update::UpdateEngine::from_views(graph.as_view(), index.as_view(), compact_after)
-            }
-        });
-    }
-    let mut discard = false;
-    if let Some(eng) = engine.as_mut() {
-        match eng.apply(delta) {
-            Ok(outcome) if !outcome.applied => {
-                eprintln!("update stdin:{lineno}: {delta} is a no-op (edge state unchanged)");
-            }
-            Ok(_) => match eng.persist() {
-                Ok(report) => {
-                    metrics.updates_applied.inc();
-                    if report.compacted {
-                        metrics.compactions.inc();
-                    }
-                    eprintln!(
-                        "update stdin:{lineno}: applied {delta}{}{}",
-                        if report.compacted {
-                            "; journal compacted"
-                        } else {
-                            ""
-                        },
-                        match report.bytes {
-                            Some(b) => format!("; {b} bytes written to disk"),
-                            None => String::new(),
-                        }
-                    );
-                }
-                Err(e) => {
-                    // Persistence failed after the in-memory repair: drop
-                    // the engine so served answers revert to the state the
-                    // container on disk still holds.
-                    discard = true;
-                    metrics.update_failures.inc();
-                    eprintln!("error: stdin:{lineno}: persisting {delta} failed: {e}");
-                }
-            },
+            Source::Built { graph, index } => Ok(update::UpdateEngine::from_views(
+                graph.as_view(),
+                index.as_view(),
+                compact_after,
+            )),
+        };
+        match created {
+            Ok(created) => *engine = Some(created),
             Err(e) => {
                 metrics.update_failures.inc();
                 eprintln!("error: stdin:{lineno}: {e}");
+                return;
             }
         }
     }
-    if discard {
-        *engine = None;
+    let Some(eng) = engine.as_mut() else {
+        return;
+    };
+    match eng.apply(delta) {
+        Ok(outcome) if !outcome.applied => {
+            eprintln!("update stdin:{lineno}: {delta} is a no-op (edge state unchanged)");
+        }
+        Ok(_) => match eng.commit() {
+            Ok(report) => {
+                metrics.updates_applied.inc();
+                if report.compacted {
+                    metrics.compactions.inc();
+                }
+                eprintln!(
+                    "update stdin:{lineno}: applied {delta}{}",
+                    report.describe()
+                );
+            }
+            Err(e) => {
+                // The engine rolled back: served answers stay those of
+                // the state on disk.
+                metrics.update_failures.inc();
+                eprintln!(
+                    "error: stdin:{lineno}: persisting {delta} failed: {}",
+                    e.message
+                );
+            }
+        },
+        Err(e) => {
+            metrics.update_failures.inc();
+            eprintln!("error: stdin:{lineno}: {e}");
+        }
     }
 }
 
@@ -1418,9 +1416,9 @@ fn cmd_update(args: Vec<String>) -> Result<(), String> {
         &store,
         Some(std::path::PathBuf::from(&path)),
         compact_after,
-    );
-    // The engine owns everything it needs; release the mapping before the
-    // write-back replaces the file under it.
+    )?;
+    // The engine owns everything it needs; release the mapping before a
+    // checkpoint replaces the file under it.
     drop(store);
 
     let mut applied = 0u64;
@@ -1439,20 +1437,18 @@ fn cmd_update(args: Vec<String>) -> Result<(), String> {
             noops += 1;
         }
     }
-    if force_compact {
-        engine.compact();
+    let report = if force_compact {
+        engine.compact()
+    } else {
+        engine.commit()
     }
-    let report = engine.persist()?;
+    .map_err(|e| e.message)?;
     eprintln!(
         "updated {path}: {applied} delta(s) applied ({noops} no-op), {trees} landmark tree(s) \
-         repaired, {full_relabels} full relabel(s); journal: {} pending, {} compaction(s){}; \
-         took {:.1?}",
+         repaired, {full_relabels} full relabel(s); {} pending, {} compaction(s){}; took {:.1?}",
         engine.pending(),
         engine.compactions(),
-        match report.bytes {
-            Some(b) => format!(", {b} bytes written"),
-            None => String::new(),
-        },
+        report.describe(),
         t0.elapsed()
     );
     Ok(())
@@ -1625,18 +1621,39 @@ fn cmd_inspect(args: Vec<String>) -> Result<(), String> {
             }
             writeln!(out)?;
         }
-        match store.journal() {
-            Some(j) => writeln!(
-                out,
-                "journal:       {} pending delta(s), {} B, {} compaction(s)",
-                j.len(),
-                store.journal_bytes(),
-                j.compactions
-            )?,
-            None => writeln!(
-                out,
-                "journal:       (none; live-update journals start at format v6)"
-            )?,
+        // Pending counts every delta an open replays: the journal
+        // section's (v6+), then a bound WAL's.
+        let wal = store.wal();
+        let wal_deltas = wal.filter(|w| !w.stale).map_or(0, |w| w.deltas);
+        let (journal_deltas, compactions) =
+            store.journal().map_or((0, 0), |j| (j.len(), j.compactions));
+        writeln!(
+            out,
+            "journal:       {} pending delta(s) ({journal_deltas} in the journal section, \
+             {wal_deltas} in the WAL), {} B, {compactions} compaction(s)",
+            store.pending_deltas(),
+            store.journal_bytes(),
+        )?;
+        match wal {
+            Some(w) => {
+                write!(
+                    out,
+                    "wal:           {} frame(s), {} B",
+                    w.frames, w.file_bytes
+                )?;
+                if w.stale {
+                    write!(
+                        out,
+                        ", stale (bound to container {:#018x}; ignored)",
+                        w.bound_checksum
+                    )?;
+                }
+                if w.torn_bytes() > 0 {
+                    write!(out, ", torn tail of {} B (ignored)", w.torn_bytes())?;
+                }
+                writeln!(out)?;
+            }
+            None => writeln!(out, "wal:           (none)")?,
         }
         writeln!(out, "sections:")?;
         for s in store.sections() {

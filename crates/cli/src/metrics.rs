@@ -201,8 +201,14 @@ pub(crate) struct ServerMetrics {
     /// Update requests rejected (parse error, invalid delta, or a
     /// persistence failure — the previous generation stays live).
     pub(crate) update_failures: Counter,
-    /// Journal folds triggered by `--compact-after` during live updates.
+    /// Checkpoints triggered by `--compact-after` during live updates.
     pub(crate) compactions: Counter,
+    /// Gauge: committed deltas not yet folded into the base sections —
+    /// what a restart replays (the WAL's, plus a pre-WAL container's
+    /// journal section).
+    pub(crate) wal_pending: AtomicU64,
+    /// Gauge: valid bytes of the delta WAL on disk.
+    pub(crate) wal_bytes: AtomicU64,
     /// Degradation gauge: non-zero while `/healthz` reports `degraded`
     /// (corruption detected by the scrubber, cleared by a clean scrub
     /// pass or a successful reload).
@@ -243,6 +249,8 @@ impl ServerMetrics {
             updates_applied: Counter::new("hcl_updates_applied_total"),
             update_failures: Counter::new("hcl_update_failures_total"),
             compactions: Counter::new("hcl_compactions_total"),
+            wal_pending: AtomicU64::new(0),
+            wal_bytes: AtomicU64::new(0),
             degraded: AtomicU64::new(0),
             answers_label_hit: Counter::new("hcl_answers_label_hit_total"),
             answers_highway: Counter::new("hcl_answers_highway_total"),
@@ -252,6 +260,21 @@ impl ServerMetrics {
             inflight: AtomicI64::new(0),
             latency: LatencyHistogram::new(),
         }
+    }
+
+    /// Sets the WAL gauges after a commit.
+    pub(crate) fn set_wal(&self, pending: usize, bytes: u64) {
+        self.wal_pending.store(pending as u64, Ordering::Relaxed);
+        self.wal_bytes.store(bytes, Ordering::Relaxed);
+    }
+
+    /// Sets the WAL gauges from what a freshly opened store replayed.
+    pub(crate) fn set_wal_from(&self, store: &hcl_store::IndexStore) {
+        let bytes = store
+            .wal()
+            .filter(|w| !w.stale)
+            .map_or(0, |w| w.valid_bytes);
+        self.set_wal(store.pending_deltas(), bytes);
     }
 
     /// Bumps the per-mechanism aggregate matching one query's
@@ -305,6 +328,16 @@ impl ServerMetrics {
             out,
             "hcl_inflight_connections {}",
             self.inflight.load(Ordering::Relaxed).max(0)
+        );
+        let _ = writeln!(
+            out,
+            "hcl_wal_pending_deltas {}",
+            self.wal_pending.load(Ordering::Relaxed)
+        );
+        let _ = writeln!(
+            out,
+            "hcl_wal_bytes {}",
+            self.wal_bytes.load(Ordering::Relaxed)
         );
         let _ = writeln!(
             out,

@@ -137,12 +137,12 @@ type Job = (u64, Vec<(VertexId, VertexId, Instant)>);
 type Chunk = (u64, String, Vec<Instant>);
 
 /// Live-update wiring for a pooled serving session: where `-u v` deltas
-/// persist and when the journal auto-compacts.
+/// persist and when they are checkpointed.
 pub(crate) struct UpdateConfig {
-    /// `.hcl` file to write updated containers back to; `None` for an
+    /// `.hcl` file whose delta WAL takes the updates; `None` for an
     /// index built in memory from an edge list (updates stay in memory).
     pub(crate) path: Option<PathBuf>,
-    /// `--compact-after N`: fold the journal once it holds N deltas
+    /// `--compact-after N`: checkpoint once N deltas are pending
     /// (0 = never).
     pub(crate) compact_after: usize,
 }
@@ -366,11 +366,18 @@ fn apply_stdin_delta(
     };
     if engine.is_none() {
         let generation = handle.current();
-        *engine = Some(UpdateEngine::from_store(
+        match UpdateEngine::from_store(
             &generation.store,
             updates.path.clone(),
             updates.compact_after,
-        ));
+        ) {
+            Ok(created) => *engine = Some(created),
+            Err(e) => {
+                metrics.update_failures.inc();
+                eprintln!("error: stdin:{lineno}: {e}");
+                return;
+            }
+        }
     }
     let Some(eng) = engine.as_mut() else {
         return; // unreachable: the slot was just filled
@@ -379,32 +386,28 @@ fn apply_stdin_delta(
         Ok(outcome) if !outcome.applied => {
             eprintln!("update stdin:{lineno}: {delta} is a no-op (edge state unchanged)");
         }
-        Ok(_) => {
-            let published = eng
-                .persist()
-                .and_then(|report| eng.fold_store().map(|store| (report, store)));
-            match published {
-                Ok((report, store)) => {
-                    let generation = handle.swap(store);
-                    metrics.updates_applied.inc();
-                    if report.compacted {
-                        metrics.compactions.inc();
-                    }
-                    eprintln!(
-                        "update stdin:{lineno}: applied {delta}; now serving generation \
-                         {generation}"
-                    );
+        Ok(_) => match eng.commit() {
+            Ok(report) => {
+                let generation = eng.publish(handle);
+                metrics.updates_applied.inc();
+                if report.compacted {
+                    metrics.compactions.inc();
                 }
-                Err(e) => {
-                    // The in-memory repair succeeded but publication
-                    // failed: discard the engine so the next delta
-                    // restarts from the generation actually being served.
-                    *engine = None;
-                    metrics.update_failures.inc();
-                    eprintln!("error: stdin:{lineno}: publishing {delta} failed: {e}");
-                }
+                eprintln!(
+                    "update stdin:{lineno}: applied {delta}; now serving generation \
+                     {generation}{}",
+                    report.describe()
+                );
             }
-        }
+            Err(e) => {
+                // The engine rolled back to the generation being served.
+                metrics.update_failures.inc();
+                eprintln!(
+                    "error: stdin:{lineno}: publishing {delta} failed: {}",
+                    e.message
+                );
+            }
+        },
         Err(e) => {
             metrics.update_failures.inc();
             eprintln!("error: stdin:{lineno}: {e}");

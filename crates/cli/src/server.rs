@@ -109,12 +109,11 @@ pub(crate) struct ServerState {
     /// Slow-query sink (`--slow-log-us`), shared by every handler.
     slow_log: Option<Arc<SlowLog>>,
     /// The live-update engine behind `POST /update`, created lazily from
-    /// the current generation on the first update. Cleared by a
-    /// successful reload (the file on disk superseded it) and by any
-    /// failed update (rollback: the next update restarts from the last
-    /// published generation).
+    /// the current generation on the first update, and cleared by a
+    /// successful reload (the file on disk superseded it). A failed
+    /// update rolls the engine back to the published generation.
     update: Mutex<Option<UpdateEngine>>,
-    /// Fold the journal once it holds this many deltas (`--compact-after`,
+    /// Checkpoint once this many deltas are pending (`--compact-after`,
     /// 0 = never).
     compact_after: usize,
 }
@@ -178,6 +177,7 @@ pub(crate) fn serve_listen(handle: GenerationHandle, cfg: ServerConfig) -> Resul
         update: Mutex::new(None),
         compact_after: cfg.compact_after,
     });
+    state.metrics.set_wal_from(&state.handle.current().store);
     sig::install(cfg.reload_signal);
 
     // The line the tooling greps for: the bound address (resolving `:0`)
@@ -357,6 +357,7 @@ pub(crate) fn do_reload(state: &ServerState) -> Result<u64, String> {
         };
         match opened {
             Ok(store) => {
+                state.metrics.set_wal_from(&store);
                 let generation = state.handle.swap(store);
                 state.metrics.reloads.inc();
                 // The file on disk superseded any in-memory update state:
@@ -930,10 +931,10 @@ fn read_body_bounded(
 ///
 /// The whole batch is transactional from the client's point of view: the
 /// deltas are parsed up front, applied to the (lazily created) update
-/// engine, persisted to the `--index` file, and only then swapped in. On
-/// *any* failure the engine is discarded — the served generation and the
-/// file on disk keep their pre-request state, and the next update
-/// restarts from the last published generation.
+/// engine, committed as one frame of the `--index` file's delta WAL (or
+/// a checkpoint), and only then swapped in. On *any* failure the engine
+/// rolls back — the served generation and the files on disk keep their
+/// pre-request state.
 fn handle_http_update(
     content_length: Option<usize>,
     reader: &mut impl BufRead,
@@ -1011,11 +1012,23 @@ fn handle_http_update(
             .reload
             .as_ref()
             .map(|spec| std::path::PathBuf::from(&spec.path));
-        *slot = Some(UpdateEngine::from_store(
-            &generation.store,
-            path,
-            state.compact_after,
-        ));
+        match UpdateEngine::from_store(&generation.store, path, state.compact_after) {
+            Ok(engine) => *slot = Some(engine),
+            Err(e) => {
+                m.update_failures.inc();
+                let body = format!("{{\"ok\":false,\"error\":{e:?}}}\n");
+                respond(
+                    writer,
+                    state,
+                    peer,
+                    500,
+                    "Internal Server Error",
+                    "application/json",
+                    &body,
+                );
+                return;
+            }
+        }
     }
     // The slot was just filled above; a vacant slot here is unreachable,
     // but degrade to an error response rather than panic on this path.
@@ -1033,12 +1046,10 @@ fn handle_http_update(
         return;
     };
 
-    match run_update(engine, deltas) {
+    match run_update(engine, deltas, &state.handle) {
         Err((status, reason, err)) => {
-            // Rollback: drop the half-updated engine. The served
-            // generation and the file on disk still hold the pre-request
-            // state, and the next update restarts from them.
-            *slot = None;
+            // The engine rolled back: the served generation and the
+            // files on disk still hold the pre-request state.
             m.update_failures.inc();
             let body = format!("{{\"ok\":false,\"error\":{err:?}}}\n");
             respond(
@@ -1052,73 +1063,81 @@ fn handle_http_update(
             );
         }
         Ok(done) => {
-            let generation = state.handle.swap(done.store);
             m.updates_applied.add(done.applied);
             if done.persisted.compacted {
                 m.compactions.inc();
             }
+            m.set_wal(engine.pending(), engine.wal_bytes());
             eprintln!(
-                "update from {peer}: {} delta(s) applied ({} no-op) as generation {generation}{}{}",
+                "update from {peer}: {} delta(s) applied ({} no-op) as generation {}{}",
                 done.applied,
                 done.ignored,
-                if done.persisted.compacted {
-                    "; journal compacted"
-                } else {
-                    ""
-                },
-                match done.persisted.bytes {
-                    Some(b) => format!("; {b} bytes written to disk"),
-                    None => "; in-memory index, nothing persisted".to_string(),
-                }
+                done.generation,
+                done.persisted.describe()
             );
             let body = format!(
                 "{{\"ok\":true,\"applied\":{},\"ignored\":{},\"pending\":{},\
-                 \"generation\":{generation}}}\n",
-                done.applied, done.ignored, done.pending
+                 \"generation\":{}}}\n",
+                done.applied,
+                done.ignored,
+                engine.pending(),
+                done.generation
             );
             respond(writer, state, peer, 200, "OK", "application/json", &body);
         }
     }
 }
 
-/// What a successful `/update` batch produced, ready to publish.
+/// What a successful `/update` batch did.
 struct UpdateDone {
     applied: u64,
     ignored: u64,
-    pending: usize,
     persisted: crate::update::PersistReport,
-    store: IndexStore,
+    generation: u64,
 }
 
-/// Applies a parsed delta batch to the engine, persists, and folds the
-/// live state into a swappable store. Pure engine work — no locking, no
-/// I/O to the client — so the caller can treat any `Err` as "discard the
-/// engine and report `(status, reason, message)`".
+/// Applies a parsed delta batch to the engine, commits it (WAL append or
+/// checkpoint), and publishes the next generation. On any `Err` the
+/// engine has rolled back, and the caller reports `(status, reason,
+/// message)`: 400 for a bad delta, 500 for a failed write, 503 while
+/// the engine refuses updates until a reload.
 fn run_update(
     engine: &mut UpdateEngine,
     deltas: Vec<hcl_core::EdgeDelta>,
+    handle: &GenerationHandle,
 ) -> Result<UpdateDone, (u16, &'static str, String)> {
+    const UNAVAILABLE: &str = "Service Unavailable";
+    if engine.unavailable() {
+        return Err((
+            503,
+            UNAVAILABLE,
+            "updates are disabled until a reload after an unrecoverable write failure".into(),
+        ));
+    }
     let mut applied = 0u64;
     let mut ignored = 0u64;
     for delta in deltas {
         match engine.apply(delta) {
             Ok(outcome) if outcome.applied => applied += 1,
             Ok(_) => ignored += 1,
-            Err(e) => return Err((400, "Bad Request", e)),
+            Err(e) => {
+                engine.rollback();
+                return Err((400, "Bad Request", e));
+            }
         }
     }
-    let persisted = engine
-        .persist()
-        .map_err(|e| (500, "Internal Server Error", e))?;
-    let store = engine
-        .fold_store()
-        .map_err(|e| (500, "Internal Server Error", e))?;
+    let persisted = engine.commit().map_err(|e| {
+        if e.unavailable {
+            (503, UNAVAILABLE, e.message)
+        } else {
+            (500, "Internal Server Error", e.message)
+        }
+    })?;
     Ok(UpdateDone {
         applied,
         ignored,
-        pending: engine.pending(),
         persisted,
-        store,
+        generation: engine.publish(handle),
     })
 }
 

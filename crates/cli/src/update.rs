@@ -1,24 +1,32 @@
 //! Live edge updates: the engine every serving mode routes `+u v` /
 //! `-u v` deltas through.
 //!
-//! [`UpdateEngine`] holds both halves of the journalled-container
-//! contract in memory:
+//! [`UpdateEngine`] keeps the **live** state — graph and labels with
+//! every delta applied, maintained incrementally by `hcl-index`'s repair
+//! path (never a full rebuild) — and makes each batch durable before it
+//! is acknowledged:
 //!
-//! * the **base** state — graph and labels exactly as the container's
-//!   base sections hold them (the as-last-compacted snapshot), plus the
-//!   delta journal accumulated since. Persisting writes *this* pair via
-//!   `save_with_journal`, so what lands on disk is always a container
-//!   whose open-time replay reconstructs the live state.
-//! * the **live** state — the base with every journalled delta applied,
-//!   maintained incrementally by `hcl-index`'s repair path (never a full
-//!   rebuild). Queries and generation swaps are served from here.
+//! * **WAL append.** A committed batch becomes one CRC-framed record
+//!   appended to the sidecar `<index>.wal` and `fdatasync`ed: a few dozen
+//!   bytes, one dirtied page, however large the container. An open
+//!   replays the container's base sections, its journal section (files
+//!   written before the WAL) and then the WAL.
+//! * **Checkpoint.** Once `--compact-after N` deltas are pending (or on
+//!   `hcl update --compact`), the batch is committed by writing the live
+//!   state as a fresh container through the durable publish instead; the
+//!   new checksum makes the old WAL stale, and it is removed.
+//!
+//! The live graph and flattened index are `Arc`s. [`UpdateEngine::publish`]
+//! hands them to the next generation through `IndexStore::with_live`, so
+//! a swap shares the served base bytes and copies nothing; after a
+//! checkpoint it reopens the new container as the base instead. A batch
+//! that fails — a bad delta, a failed append — rolls the engine back to
+//! the last committed state, which is what is served and on disk.
 //!
 //! The engine is deliberately transport-agnostic: the `update`
 //! subcommand drives it file-to-file, the stdin serve loops drive it a
 //! line at a time, and the socket server drives it from `POST /update`
-//! batches behind a mutex. Auto-compaction (`--compact-after N`) folds
-//! the journal into the base once it reaches N pending deltas, bounding
-//! both open-time replay work and journal growth.
+//! batches behind a mutex.
 //!
 //! This file is on the request-serving path (the `no-panics` lint
 //! covers it): every failure degrades into a `Result` the caller can
@@ -27,111 +35,158 @@
 use hcl_core::{DeltaGraph, DeltaOp, EdgeDelta, Graph, GraphView};
 use hcl_index::repair::{DynamicIndex, RepairOutcome};
 use hcl_index::{BuildContext, HighwayCoverIndex, IndexView};
-use hcl_store::{BuildInfo, IndexStore, StoredJournal};
+use hcl_store::{BuildInfo, GenerationHandle, IndexStore, StoreError, Wal};
 use std::path::PathBuf;
+use std::sync::Arc;
 
-/// What one [`UpdateEngine::persist`] call did.
+/// How one [`UpdateEngine::commit`] made its batch durable.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Persisted {
+    /// Nothing was staged, or there is no file behind the engine.
+    Nothing,
+    /// One frame of this many bytes appended to the WAL.
+    Wal(u64),
+    /// The live state written as a new container of this many bytes.
+    Checkpoint(u64),
+}
+
+/// What one [`UpdateEngine::commit`] did.
+#[derive(Clone, Copy, Debug)]
 pub(crate) struct PersistReport {
-    /// Bytes written to the backing file, or `None` for an in-memory
-    /// engine (no `--index` to write back to).
-    pub(crate) bytes: Option<u64>,
-    /// Whether the journal was folded into the base first
+    pub(crate) persisted: Persisted,
+    /// Whether the pending deltas were folded into the base
     /// (`--compact-after` threshold reached, or an explicit compact).
     pub(crate) compacted: bool,
 }
 
+impl PersistReport {
+    /// The tail of an update log line: `; N bytes appended to WAL`, `;
+    /// checkpointed (N bytes)`, ….
+    pub(crate) fn describe(&self) -> String {
+        match (self.persisted, self.compacted) {
+            (Persisted::Wal(b), _) => format!("; {b} bytes appended to WAL"),
+            (Persisted::Checkpoint(b), _) => format!("; checkpointed ({b} bytes)"),
+            (Persisted::Nothing, true) => "; journal compacted (in-memory index)".into(),
+            (Persisted::Nothing, false) => "; in-memory index, nothing persisted".into(),
+        }
+    }
+}
+
+/// Why a commit failed. `unavailable` means the disk state is no longer
+/// known to match the engine (an append could not be undone, or a
+/// checkpoint failed after its rename): the engine refuses further
+/// updates until a reload reopens the file.
+#[derive(Debug)]
+pub(crate) struct CommitError {
+    pub(crate) message: String,
+    pub(crate) unavailable: bool,
+}
+
+/// The file behind an engine: where checkpoints go and the WAL that
+/// takes every other commit.
+struct Disk {
+    path: PathBuf,
+    wal: Wal,
+}
+
 /// Incremental edge-update engine: applies deltas through label repair,
-/// journals them for durability, and hands out the live state for
-/// queries and generation swaps.
+/// commits them durably, and hands out the live state for queries and
+/// generation swaps.
 pub(crate) struct UpdateEngine {
-    /// The as-last-compacted snapshot the on-disk base sections hold.
-    base_graph: Graph,
-    base_index: HighwayCoverIndex,
-    /// Build metadata carried through every rewrite of the container.
+    /// Build metadata carried into every checkpoint.
     build: BuildInfo,
-    /// Deltas applied since the base snapshot, in application order.
-    journal: Vec<EdgeDelta>,
-    /// Journal folds so far (the container's compaction counter).
+    /// Checkpoints so far (the container's compaction counter).
     compactions: u64,
-    /// The live graph: base + journal, rematerialised after each apply.
-    live_graph: Graph,
+    /// Committed deltas not yet folded into the base sections: the
+    /// container's journal section plus the WAL.
+    pending: usize,
+    /// Deltas applied since the last commit, in application order.
+    staged: Vec<EdgeDelta>,
+    /// The live graph: the committed state plus the staged deltas.
+    live_graph: Arc<Graph>,
     /// The live labels in repairable form.
     dynamic: DynamicIndex,
     /// CSR-flattened cache of `dynamic`, refreshed lazily — repairs only
     /// mark it stale, so a batch of deltas pays one flatten, not one per
     /// delta.
-    live_index: HighwayCoverIndex,
+    live_index: Arc<HighwayCoverIndex>,
     stale: bool,
+    /// The last committed state — what is on disk and what a failed
+    /// batch rolls back to.
+    committed: (Arc<Graph>, Arc<HighwayCoverIndex>),
     /// Reused BFS scratch for the repair path.
     cx: BuildContext,
-    /// Where [`persist`](UpdateEngine::persist) writes, if anywhere.
-    path: Option<PathBuf>,
-    /// Fold the journal once it holds this many deltas (0 = never).
+    /// `None` for an in-memory engine (no `--index` to write back to).
+    disk: Option<Disk>,
+    /// Checkpoint once this many deltas are pending (0 = never).
     compact_after: usize,
+    /// A checkpoint rewrote the container since the last publish.
+    rebased: bool,
+    /// A checkpoint failed after its rename: the container on disk is
+    /// unknown to the engine.
+    poisoned: bool,
 }
 
 impl UpdateEngine {
-    /// Builds the engine from an opened container: the base sections and
-    /// journal come across as-is, so a later [`persist`](
-    /// UpdateEngine::persist) continues the container's history instead
-    /// of restarting it.
+    /// Builds the engine from an opened container. With a `path`, it
+    /// binds to that file's WAL and continues its history: the store
+    /// must serve what the file reopens to (it was opened from it, or
+    /// published by an engine over it).
     pub(crate) fn from_store(
         store: &IndexStore,
         path: Option<PathBuf>,
         compact_after: usize,
-    ) -> Self {
-        let (journal, compactions) = match store.journal() {
-            Some(j) => (j.deltas.clone(), j.compactions),
-            None => (Vec::new(), 0),
+    ) -> Result<Self, String> {
+        let (journal_pending, compactions) =
+            store.journal().map_or((0, 0), |j| (j.len(), j.compactions));
+        let disk = match path {
+            Some(path) => {
+                let wal = Wal::open(&path, store.meta().checksum)
+                    .map_err(|e| format!("opening the delta WAL of {}: {e}", path.display()))?;
+                Some(Disk { path, wal })
+            }
+            None => None,
         };
-        let dynamic = DynamicIndex::from_view(store.index());
-        let live_index = dynamic.to_index();
-        Self {
-            base_graph: store.base_graph().to_owned_graph(),
-            base_index: store.base_index().to_owned_index(),
-            build: store.meta().build,
-            journal,
-            compactions,
-            live_graph: store.graph().to_owned_graph(),
-            dynamic,
-            live_index,
-            stale: false,
-            cx: BuildContext::new(),
-            path,
-            compact_after,
-        }
+        let mut engine = Self::from_views(store.graph(), store.index(), compact_after);
+        engine.build = store.meta().build;
+        engine.compactions = compactions;
+        engine.pending = journal_pending + disk.as_ref().map_or(0, |d| d.wal.deltas());
+        engine.disk = disk;
+        Ok(engine)
     }
 
     /// Builds the engine around an index built in memory this session:
-    /// the current state doubles as the base, the journal starts empty,
-    /// and there is no file to persist to.
+    /// nothing is pending and there is no file to persist to.
     pub(crate) fn from_views(
         graph: GraphView<'_>,
         index: IndexView<'_>,
         compact_after: usize,
     ) -> Self {
         let dynamic = DynamicIndex::from_view(index);
+        let live_graph = Arc::new(graph.to_owned_graph());
+        let live_index = Arc::new(dynamic.to_index());
         Self {
-            base_graph: graph.to_owned_graph(),
-            base_index: dynamic.to_index(),
             build: BuildInfo::default(),
-            journal: Vec::new(),
             compactions: 0,
-            live_graph: graph.to_owned_graph(),
-            live_index: dynamic.to_index(),
+            pending: 0,
+            staged: Vec::new(),
+            committed: (Arc::clone(&live_graph), Arc::clone(&live_index)),
+            live_graph,
             dynamic,
+            live_index,
             stale: false,
             cx: BuildContext::new(),
-            path: None,
+            disk: None,
             compact_after,
+            rebased: false,
+            poisoned: false,
         }
     }
 
-    /// Applies one delta through incremental label repair. An
-    /// ineffective delta (inserting an existing edge, deleting a missing
-    /// one) returns `applied: false` and is *not* journalled; an invalid
-    /// one (out-of-range endpoint, self-loop) is an error and changes
-    /// nothing.
+    /// Stages one delta through incremental label repair. An ineffective
+    /// delta (inserting an existing edge, deleting a missing one) returns
+    /// `applied: false` and is *not* staged; an invalid one (out-of-range
+    /// endpoint, self-loop) is an error and changes nothing.
     pub(crate) fn apply(&mut self, delta: EdgeDelta) -> Result<RepairOutcome, String> {
         let mut overlay = DeltaGraph::new(self.live_graph.as_view());
         let outcome = self
@@ -139,8 +194,8 @@ impl UpdateEngine {
             .apply_and_repair(&mut overlay, delta, &mut self.cx)
             .map_err(|e| format!("applying {delta}: {e}"))?;
         if outcome.applied {
-            self.live_graph = overlay.to_graph();
-            self.journal.push(delta);
+            self.live_graph = Arc::new(overlay.to_graph());
+            self.staged.push(delta);
             self.stale = true;
         }
         Ok(outcome)
@@ -148,87 +203,173 @@ impl UpdateEngine {
 
     /// The live graph and index, for answering queries in-process.
     pub(crate) fn views(&mut self) -> (GraphView<'_>, IndexView<'_>) {
-        if self.stale {
-            self.live_index = self.dynamic.to_index();
-            self.stale = false;
-        }
+        self.flatten();
         (self.live_graph.as_view(), self.live_index.as_view())
     }
 
-    /// Pending (journalled, not yet folded) delta count.
-    pub(crate) fn pending(&self) -> usize {
-        self.journal.len()
+    fn flatten(&mut self) {
+        if self.stale {
+            self.live_index = Arc::new(self.dynamic.to_index());
+            self.stale = false;
+        }
     }
 
-    /// Journal folds so far.
+    /// Deltas not yet folded into the base: committed plus staged.
+    pub(crate) fn pending(&self) -> usize {
+        self.pending + self.staged.len()
+    }
+
+    /// Checkpoints so far.
     pub(crate) fn compactions(&self) -> u64 {
         self.compactions
     }
 
-    /// Folds the journal into the base: the live state becomes the new
-    /// base snapshot, the journal empties, and the compaction counter
-    /// bumps (only if there was anything to fold).
-    pub(crate) fn compact(&mut self) {
-        if self.journal.is_empty() {
+    /// Valid bytes of the WAL on disk (0 for an in-memory engine or
+    /// before the first append).
+    pub(crate) fn wal_bytes(&self) -> u64 {
+        self.disk.as_ref().map_or(0, |d| d.wal.len_bytes())
+    }
+
+    /// Whether the engine refuses updates until a reload (see
+    /// [`CommitError::unavailable`]).
+    pub(crate) fn unavailable(&self) -> bool {
+        self.poisoned || self.disk.as_ref().is_some_and(|d| d.wal.is_poisoned())
+    }
+
+    /// Commits the staged deltas: one WAL frame, or a checkpoint once
+    /// `--compact-after` deltas are pending. On success the live state is
+    /// the committed state; on failure the engine has rolled back to the
+    /// previous one, and so has the disk.
+    pub(crate) fn commit(&mut self) -> Result<PersistReport, CommitError> {
+        let due = self.compact_after > 0 && self.pending() >= self.compact_after;
+        self.commit_inner(due)
+    }
+
+    /// Commits the staged deltas by folding everything pending into the
+    /// base (a checkpoint when there is a file). A no-op when nothing is
+    /// pending.
+    pub(crate) fn compact(&mut self) -> Result<PersistReport, CommitError> {
+        self.commit_inner(true)
+    }
+
+    fn commit_inner(&mut self, fold: bool) -> Result<PersistReport, CommitError> {
+        let fold = fold && self.pending() > 0;
+        if self.staged.is_empty() && !fold {
+            return Ok(PersistReport {
+                persisted: Persisted::Nothing,
+                compacted: false,
+            });
+        }
+        if self.unavailable() {
+            self.rollback();
+            return Err(CommitError {
+                message: "updates are disabled until a reload: the index file's state is \
+                          unknown after an earlier failure"
+                    .into(),
+                unavailable: true,
+            });
+        }
+        self.flatten();
+        let persisted = match (&mut self.disk, fold) {
+            (None, _) => Ok(Persisted::Nothing),
+            (Some(disk), false) => disk
+                .wal
+                .append(&self.staged)
+                .map(Persisted::Wal)
+                .map_err(|e| CommitError {
+                    message: format!("appending to {}: {e}", disk.wal.path().display()),
+                    unavailable: disk.wal.is_poisoned(),
+                }),
+            (Some(disk), true) => match hcl_store::checkpoint(
+                &disk.path,
+                &self.live_graph,
+                &self.live_index,
+                self.build,
+                self.compactions + 1,
+            ) {
+                Ok(written) => {
+                    // The stale WAL is gone or ignored; bind a writer to
+                    // the new container. Failing that, the checkpoint
+                    // still stands, but nothing more can be appended.
+                    match Wal::open(&disk.path, written.checksum) {
+                        Ok(wal) => disk.wal = wal,
+                        Err(_) => self.poisoned = true,
+                    }
+                    Ok(Persisted::Checkpoint(written.bytes))
+                }
+                Err(e) => {
+                    // A failed directory fsync comes after the rename:
+                    // the container on disk is already the new one while
+                    // the engine rolls back, so refuse further updates.
+                    let renamed = matches!(
+                        e,
+                        StoreError::Publish {
+                            step: "sync-dir",
+                            ..
+                        }
+                    );
+                    self.poisoned |= renamed;
+                    Err(CommitError {
+                        message: format!("checkpointing {}: {e}", disk.path.display()),
+                        unavailable: renamed,
+                    })
+                }
+            },
+        };
+        let persisted = match persisted {
+            Ok(p) => p,
+            Err(e) => {
+                self.rollback();
+                return Err(e);
+            }
+        };
+        if fold {
+            self.pending = 0;
+            self.compactions += 1;
+            self.rebased = matches!(persisted, Persisted::Checkpoint(_));
+        } else {
+            self.pending += self.staged.len();
+        }
+        self.staged.clear();
+        self.committed = (Arc::clone(&self.live_graph), Arc::clone(&self.live_index));
+        Ok(PersistReport {
+            persisted,
+            compacted: fold,
+        })
+    }
+
+    /// Discards the staged deltas: the live state returns to the last
+    /// committed one.
+    pub(crate) fn rollback(&mut self) {
+        if self.staged.is_empty() {
             return;
         }
-        self.base_graph = self.live_graph.clone();
-        self.base_index = self.dynamic.to_index();
-        self.journal.clear();
-        self.compactions += 1;
+        self.staged.clear();
+        let (graph, index) = &self.committed;
+        self.live_graph = Arc::clone(graph);
+        self.dynamic = DynamicIndex::from_view(index.as_view());
+        self.live_index = Arc::clone(index);
+        self.stale = false;
     }
 
-    /// Writes the container back to its file (base sections + journal),
-    /// folding the journal first when the `--compact-after` threshold is
-    /// reached. Engines without a backing file only perform the fold.
-    pub(crate) fn persist(&mut self) -> Result<PersistReport, String> {
-        let compacted = self.compact_after > 0 && self.journal.len() >= self.compact_after;
-        if compacted {
-            self.compact();
-        }
-        let bytes = match &self.path {
-            Some(path) => {
-                let journal = StoredJournal {
-                    deltas: self.journal.clone(),
-                    compactions: self.compactions,
-                };
-                let written = hcl_store::save_with_journal(
-                    path,
-                    &self.base_graph,
-                    &self.base_index,
-                    self.build,
-                    &journal,
-                )
-                .map_err(|e| format!("writing {}: {e}", path.display()))?;
-                Some(written)
-            }
-            None => None,
+    /// Swaps the committed state in as the next generation of `handle`
+    /// and returns its number. Shares the current generation's base bytes
+    /// (`IndexStore::with_live`); after a checkpoint, reopens the new
+    /// container as the base instead, so the served base always matches
+    /// the file the WAL is bound to.
+    pub(crate) fn publish(&mut self, handle: &GenerationHandle) -> u64 {
+        let reopened = match (&self.disk, std::mem::take(&mut self.rebased)) {
+            (Some(disk), true) => IndexStore::open_trusted(&disk.path).ok(),
+            _ => None,
         };
-        Ok(PersistReport { bytes, compacted })
-    }
-
-    /// Serialises the **live** state into a fresh in-memory container for
-    /// a generation swap: the journal it carries is empty (the deltas are
-    /// already folded into its sections), so opening it replays nothing.
-    /// Trusted open — the bytes were produced in this process.
-    pub(crate) fn fold_store(&mut self) -> Result<IndexStore, String> {
-        if self.stale {
-            self.live_index = self.dynamic.to_index();
-            self.stale = false;
-        }
-        let journal = StoredJournal {
-            deltas: Vec::new(),
-            compactions: self.compactions,
-        };
-        let bytes = hcl_store::serialize_with_journal(
-            &self.live_graph,
-            &self.live_index,
-            self.build,
-            &journal,
-        )
-        .map_err(|e| format!("serialising updated index: {e}"))?;
-        IndexStore::from_bytes_trusted(&bytes)
-            .map_err(|e| format!("re-opening updated index image: {e}"))
+        let (graph, index) = &self.committed;
+        let next = reopened.unwrap_or_else(|| {
+            handle
+                .current()
+                .store
+                .with_live(Arc::clone(graph), Arc::clone(index))
+        });
+        handle.swap(next)
     }
 }
 
@@ -372,24 +513,45 @@ mod tests {
         engine.apply(EdgeDelta::insert(0, 17)).unwrap();
         engine.apply(EdgeDelta::delete(0, 17)).unwrap();
         assert_eq!(engine.pending(), 2);
-        engine.compact();
+        engine.compact().unwrap();
         assert_eq!(engine.pending(), 0);
         assert_eq!(engine.compactions(), 1);
         // Nothing pending: a second compact is a no-op.
-        engine.compact();
+        engine.compact().unwrap();
         assert_eq!(engine.compactions(), 1);
     }
 
     #[test]
-    fn fold_store_swaps_in_the_live_answers() {
-        let (_graph, mut engine) = engine_for(30, 4, 5);
+    fn publish_swaps_in_the_live_answers() {
+        let (graph, mut engine) = engine_for(30, 4, 5);
+        let index = HighwayCoverIndex::build(&graph, hcl_index::IndexConfig { num_landmarks: 4 });
+        let handle = GenerationHandle::new(IndexStore::from_owned(&graph, &index).unwrap());
         engine.apply(EdgeDelta::insert(2, 29)).unwrap();
-        let store = engine.fold_store().unwrap();
-        assert!(store.journal().unwrap().is_empty());
+        engine.commit().unwrap();
+        assert_eq!(engine.publish(&handle), 2);
+        let store = handle.current().store;
         let mut ctx = QueryContext::new();
         assert_eq!(
             store.index().query_with(store.graph(), &mut ctx, 2, 29),
             Some(1)
         );
+        // The base bytes are shared, not rewritten: they still hold the
+        // original graph, and still verify.
+        assert_eq!(store.base_graph().num_edges(), graph.num_edges());
+        store.verify_checksum().unwrap();
+    }
+
+    #[test]
+    fn rollback_restores_the_committed_state() {
+        let (graph, mut engine) = engine_for(30, 4, 6);
+        assert!(engine.apply(EdgeDelta::insert(3, 28)).unwrap().applied);
+        engine.commit().unwrap();
+        assert!(engine.apply(EdgeDelta::insert(4, 27)).unwrap().applied);
+        engine.rollback();
+        assert_eq!(engine.pending(), 1);
+        let mut ctx = QueryContext::new();
+        let (g, ix) = engine.views();
+        assert_eq!(ix.query_with(g, &mut ctx, 3, 28), Some(1));
+        assert_eq!(g.num_edges(), graph.num_edges() + 1);
     }
 }

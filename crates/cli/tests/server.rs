@@ -897,6 +897,69 @@ fn good_reload_clears_scrubber_degradation() {
     assert!(exit.success(), "stderr:\n{stderr}");
 }
 
+#[test]
+fn scrubber_rechecks_wal_frames_and_degrades_on_a_corrupt_one() {
+    let scratch = Scratch::new("scrub_wal");
+    let graph = testkit::barabasi_albert(60, 3, 51);
+    let live = build_index(&scratch, "live", &edge_list(&graph), 4);
+    // Two offline updates: two WAL frames of one insert each.
+    let n = graph.num_vertices() as u32;
+    let inserts: Vec<(u32, u32)> = (1..n)
+        .filter(|&v| !graph.as_view().has_edge(0, v))
+        .take(2)
+        .map(|v| (0, v))
+        .collect();
+    for (u, v) in &inserts {
+        let mut child = hcl()
+            .arg("update")
+            .arg(&live)
+            .stdin(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn hcl update");
+        writeln!(child.stdin.take().unwrap(), "+{u} {v}").unwrap();
+        let out = child.wait_with_output().expect("hcl update");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+    let wal = PathBuf::from(format!("{}.wal", live.display()));
+    let input = format!("{} {}\n", inserts[0].0, inserts[0].1);
+
+    let server = Server::spawn(&live, &["--scrub-interval-s", "1"]);
+    assert_eq!(server.metric("hcl_wal_pending_deltas"), 2);
+    assert_eq!(
+        server.metric("hcl_wal_bytes"),
+        std::fs::metadata(&wal).unwrap().len()
+    );
+    server.wait_metric_at_least("hcl_scrub_passes_total", 1, Duration::from_secs(30));
+    let (status, _) = server.http_get("/healthz");
+    assert_eq!(status, 200, "an intact WAL scrubs clean");
+
+    // Damage a delta inside the first of the two frames: not a torn
+    // tail, so the scrubber's WAL pass must flag it.
+    let mut bytes = std::fs::read(&wal).unwrap();
+    bytes[32 + 16 + 2] ^= 0x10;
+    std::fs::write(&wal, &bytes).unwrap();
+    server.wait_metric_at_least("hcl_scrub_failures_total", 1, Duration::from_secs(30));
+    let (status, body) = server.http_get("/healthz");
+    assert_eq!((status, body.as_str()), (503, "degraded\n"));
+    // The served generation was replayed at open and keeps answering.
+    assert_eq!(
+        server.tcp_roundtrip(&input),
+        format!("{} {} 1\n", inserts[0].0, inserts[0].1)
+    );
+
+    let (exit, stderr) = server.drain();
+    assert!(exit.success(), "stderr:\n{stderr}");
+    assert!(
+        stderr.contains("delta WAL"),
+        "missing WAL diagnosis in:\n{stderr}"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // PR-7 observability: per-mechanism counters and the socket slow log
 // ---------------------------------------------------------------------------

@@ -672,3 +672,195 @@ fn concurrent_queries_survive_update_churn() {
     let (status, stderr) = server.drain();
     assert!(status.success(), "stderr:\n{stderr}");
 }
+
+// ---------------------------------------------------------------------------
+// The delta WAL: crash recovery and stale WALs
+// ---------------------------------------------------------------------------
+
+/// `graph` with `deltas` applied, as an edge list for a fresh stdin serve.
+fn edges_after(graph: &Graph, deltas: &[hcl_core::EdgeDelta]) -> String {
+    let mut overlay = hcl_core::DeltaGraph::new(graph.as_view());
+    for &d in deltas {
+        assert!(overlay.apply(d).expect("valid delta"), "effective delta");
+    }
+    edge_list(&overlay.to_graph())
+}
+
+/// A seeded script of effective single-delta batches: mostly inserts of
+/// non-edges, every fourth a delete of an edge present at that point.
+fn seeded_script(graph: &Graph, len: usize, seed: u64) -> Vec<hcl_core::EdgeDelta> {
+    let n = graph.num_vertices() as u64;
+    let mut rng = testkit::SplitMix64::new(seed);
+    let mut overlay = hcl_core::DeltaGraph::new(graph.as_view());
+    let mut script = Vec::new();
+    while script.len() < len {
+        let u = rng.next_below(n) as u32;
+        let v = rng.next_below(n) as u32;
+        if u == v {
+            continue;
+        }
+        let delta = if script.len() % 4 == 3 {
+            hcl_core::EdgeDelta::delete(u, v)
+        } else {
+            hcl_core::EdgeDelta::insert(u, v)
+        };
+        if overlay.apply(delta).expect("in range") {
+            script.push(delta);
+        }
+    }
+    script
+}
+
+/// SIGKILL of `serve` at a seeded point of a `/update` stream, with
+/// queries in flight: the restarted server answers exactly like a fresh
+/// serve of the graph after the acknowledged batches, or after one more
+/// (the batch in flight at the kill, if its frame was durable).
+#[test]
+fn sigkill_during_updates_restarts_to_the_acked_state() {
+    let graph = testkit::barabasi_albert(150, 3, 0x9111);
+    let n = graph.num_vertices() as u64;
+    let mut rng = testkit::SplitMix64::new(0xFA1);
+    let pairs: String = (0..80)
+        .map(|_| format!("{} {}\n", rng.next_below(n), rng.next_below(n)))
+        .collect();
+    for seed in [1u64, 2, 3] {
+        let scratch = Scratch::new(&format!("sigkill_{seed}"));
+        let script = seeded_script(&graph, 12, seed);
+        let live = build_index(&scratch, "live", &edge_list(&graph), 6);
+        let mut server = Server::spawn(&live, &["--workers", "3"]);
+        let addr = server.addr.clone();
+        let stop = Arc::new(AtomicBool::new(false));
+        let reader = {
+            let (addr, stop, pairs) = (addr.clone(), Arc::clone(&stop), pairs.clone());
+            std::thread::spawn(move || {
+                // Queries until the kill; errors after it are expected.
+                while !stop.load(Ordering::Relaxed) {
+                    let Ok(mut s) = TcpStream::connect(&addr) else {
+                        break;
+                    };
+                    if s.write_all(pairs.as_bytes()).is_err()
+                        || s.shutdown(std::net::Shutdown::Write).is_err()
+                    {
+                        break;
+                    }
+                    let mut out = String::new();
+                    if s.read_to_string(&mut out).is_err() {
+                        break;
+                    }
+                }
+            })
+        };
+
+        let mut kill_rng = testkit::SplitMix64::new(seed ^ 0xD1E);
+        let kill_at = 2 + kill_rng.next_below(script.len() as u64 - 3) as usize;
+        let kill_delay = Duration::from_micros(kill_rng.next_below(3000));
+        let mut acked = 0usize;
+        for (i, d) in script.iter().enumerate() {
+            let body = format!("{d}\n");
+            if i < kill_at {
+                let (status, response) = http_post_addr(&addr, "/update", &body);
+                assert_eq!(status, 200, "seed {seed} batch {i}: {response}");
+                acked += 1;
+                continue;
+            }
+            // The batch in flight at the kill: it may or may not be acked.
+            let in_flight = {
+                let addr = addr.clone();
+                std::thread::spawn(move || {
+                    let request = format!(
+                        "POST /update HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n{body}",
+                        body.len()
+                    );
+                    let mut s = TcpStream::connect(&addr).ok()?;
+                    s.write_all(request.as_bytes()).ok()?;
+                    let mut raw = String::new();
+                    s.read_to_string(&mut raw).ok()?;
+                    Some(raw.starts_with("HTTP/1.1 200"))
+                })
+            };
+            std::thread::sleep(kill_delay);
+            server.child.kill().expect("SIGKILL the server");
+            server.child.wait().expect("reap the server");
+            if in_flight.join().expect("in-flight updater") == Some(true) {
+                acked += 1;
+            }
+            break;
+        }
+        stop.store(true, Ordering::Relaxed);
+        reader.join().expect("query thread");
+
+        let restarted = stdin_serve(&live, &[], &pairs);
+        let fresh = |k: usize| {
+            let edges = scratch.file(
+                &format!("after_{k}.edges"),
+                &edges_after(&graph, &script[..k]),
+            );
+            let out = hcl()
+                .arg("serve")
+                .arg(&edges)
+                .args(["--landmarks", "6"])
+                .stdin(Stdio::piped())
+                .stdout(Stdio::piped())
+                .stderr(Stdio::null())
+                .spawn()
+                .and_then(|mut c| {
+                    c.stdin.take().unwrap().write_all(pairs.as_bytes())?;
+                    c.wait_with_output()
+                })
+                .expect("fresh serve");
+            String::from_utf8(out.stdout).unwrap()
+        };
+        let candidates = [acked, acked + 1];
+        assert!(
+            candidates
+                .iter()
+                .any(|&k| k <= script.len() && restarted == fresh(k)),
+            "seed {seed}: restart after {acked} acked batch(es) matches neither k nor k+1"
+        );
+    }
+}
+
+/// A leftover WAL never leaks into a new container: a rebuild over the
+/// same path (even byte-identical) serves the fresh build, and a copy of
+/// a container without its WAL opens to the base state.
+#[test]
+fn stale_wals_are_ignored_after_rebuild_and_copy() {
+    let scratch = Scratch::new("stale_wal");
+    let graph = testkit::barabasi_albert(80, 3, 0x57A1);
+    let (a, b) = non_edge(&graph);
+    let edges = edge_list(&graph);
+    let live = build_index(&scratch, "live", &edges, 6);
+    let wal = scratch.path("live.hcl.wal");
+    let input = query_workload(&graph, (a, b), 30, 0x51);
+    let base = stdin_serve(&live, &[], &input);
+    let insert = scratch.file("insert.deltas", &format!("+{a} {b}\n"));
+    let (status, stderr) = run_update(&live, &insert, &[]);
+    assert!(status.success(), "update failed: {stderr}");
+    assert!(stderr.contains("bytes appended to WAL"), "stderr: {stderr}");
+    assert!(wal.exists(), "the update must land in the WAL");
+    let updated = stdin_serve(&live, &[], &input);
+    assert_ne!(updated, base, "the insert changes an answer");
+
+    // A copy without its WAL is the base container.
+    let copy = scratch.path("copy.hcl");
+    std::fs::copy(&live, &copy).expect("copy container");
+    assert_eq!(stdin_serve(&copy, &[], &input), base);
+    assert!(inspect(&copy).contains("0 pending delta(s)"));
+    // With its WAL copied along, the copy is the updated index.
+    std::fs::copy(&wal, scratch.path("copy.hcl.wal")).expect("copy WAL");
+    assert_eq!(stdin_serve(&copy, &[], &input), updated);
+
+    // A rebuild over the path — byte-identical to the original base —
+    // serves the fresh build, not base + old WAL.
+    let saved_wal = std::fs::read(&wal).unwrap();
+    build_index(&scratch, "live", &edges, 6);
+    assert_eq!(stdin_serve(&live, &[], &input), base);
+    // A leftover WAL bound to another container (here: the rebuilt one
+    // with different landmarks) is reported stale and ignored.
+    let other = build_index(&scratch, "other", &edges, 4);
+    std::fs::write(scratch.path("other.hcl.wal"), &saved_wal).unwrap();
+    let report = inspect(&other);
+    assert!(report.contains("stale"), "inspect:\n{report}");
+    assert!(report.contains("0 pending delta(s)"), "inspect:\n{report}");
+    assert_eq!(stdin_serve(&other, &[], &input), base);
+}

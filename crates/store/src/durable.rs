@@ -59,16 +59,37 @@ pub enum PublishStep {
     Rename,
     /// `fsync` the target's parent directory, making the rename durable.
     SyncDir,
+    /// Create (or reset) the delta WAL and `fsync` its directory — the
+    /// first append to a missing, stale or torn-header WAL.
+    WalCreate,
+    /// Write one frame (plus the header on a fresh WAL) in one `write`.
+    WalAppend,
+    /// `fdatasync` the WAL: the frame is durable, and the batch may be
+    /// acknowledged.
+    WalSync,
+    /// Truncate a failed append back to the previous length and
+    /// `fdatasync` — the WAL's undo step, run only after a failure.
+    WalRollback,
 }
 
 impl PublishStep {
-    /// Every step, in execution order — for exhaustive schedule sweeps.
+    /// Every step of the durable publish, in execution order — for
+    /// exhaustive schedule sweeps.
     pub const ALL: [PublishStep; 5] = [
         PublishStep::CreateTemp,
         PublishStep::WriteTemp,
         PublishStep::SyncTemp,
         PublishStep::Rename,
         PublishStep::SyncDir,
+    ];
+
+    /// Every step of a WAL append ([`crate::Wal::append_with`]), in
+    /// execution order; `WalRollback` only runs after a failure.
+    pub const WAL: [PublishStep; 4] = [
+        PublishStep::WalCreate,
+        PublishStep::WalAppend,
+        PublishStep::WalSync,
+        PublishStep::WalRollback,
     ];
 
     /// Stable lowercase name, used in [`StoreError::Publish`] diagnostics.
@@ -79,6 +100,10 @@ impl PublishStep {
             PublishStep::SyncTemp => "sync-temp",
             PublishStep::Rename => "rename",
             PublishStep::SyncDir => "sync-dir",
+            PublishStep::WalCreate => "wal-create",
+            PublishStep::WalAppend => "wal-append",
+            PublishStep::WalSync => "wal-sync",
+            PublishStep::WalRollback => "wal-rollback",
         }
     }
 }
@@ -96,9 +121,10 @@ pub enum IoDecision {
     /// the publish stops, leaving on disk exactly what the completed
     /// prefix of the sequence produced (no cleanup — the process died).
     CrashBefore,
-    /// Simulated power cut **during** [`PublishStep::WriteTemp`] after
-    /// this many bytes reached the file — the torn-write case. At any
-    /// other step it behaves like [`IoDecision::CrashBefore`].
+    /// Simulated power cut **during** [`PublishStep::WriteTemp`] or
+    /// [`PublishStep::WalAppend`] after this many bytes reached the file
+    /// — the torn-write case. At any other step it behaves like
+    /// [`IoDecision::CrashBefore`].
     CrashDuring(usize),
     /// Simulated power cut immediately **after** the operation completes.
     CrashAfter,
@@ -234,10 +260,25 @@ fn sync_file(file: &File) -> std::io::Result<()> {
     }
 }
 
+/// `fdatasync` on a plain file: the data plus the metadata needed to
+/// read it back (the length), not timestamps. What a WAL append needs;
+/// skipped under Miri like [`sync_file`].
+pub(crate) fn sync_file_data(file: &File) -> std::io::Result<()> {
+    #[cfg(not(miri))]
+    {
+        file.sync_data()
+    }
+    #[cfg(miri)]
+    {
+        let _ = file;
+        Ok(())
+    }
+}
+
 /// `fsync` on the target's parent directory — what makes the rename
 /// itself durable. Directory fds are a Unix notion; elsewhere (and under
 /// Miri, which cannot open directories) the step is a sequenced no-op.
-fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
+pub(crate) fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
     #[cfg(all(unix, not(miri)))]
     {
         File::open(parent_dir(path))?.sync_all()
@@ -250,7 +291,7 @@ fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
 }
 
 /// The `io::Error` carried by injected [`IoDecision::Fail`] faults.
-fn injected_error(step: PublishStep) -> std::io::Error {
+pub(crate) fn injected_error(step: PublishStep) -> std::io::Error {
     std::io::Error::other(format!("injected fault at {}", step.name()))
 }
 

@@ -348,6 +348,30 @@ const JOURNAL_FORMAT_TAG: u64 = 1;
 const JOURNAL_OP_INSERT: u64 = 0;
 const JOURNAL_OP_DELETE: u64 = 1;
 
+/// One delta as the two words the journal section and the WAL store:
+/// the op, then the endpoints packed `(u << 32) | v`.
+pub(crate) fn encode_delta(d: &EdgeDelta) -> [u64; 2] {
+    let op = match d.op {
+        DeltaOp::Insert => JOURNAL_OP_INSERT,
+        DeltaOp::Delete => JOURNAL_OP_DELETE,
+    };
+    [op, ((d.u as u64) << 32) | d.v as u64]
+}
+
+/// Inverse of [`encode_delta`]; `None` for an unknown op word.
+pub(crate) fn decode_delta(op: u64, ends: u64) -> Option<EdgeDelta> {
+    let op = match op {
+        JOURNAL_OP_INSERT => DeltaOp::Insert,
+        JOURNAL_OP_DELETE => DeltaOp::Delete,
+        _ => return None,
+    };
+    Some(EdgeDelta {
+        op,
+        u: (ends >> 32) as u32,
+        v: ends as u32,
+    })
+}
+
 /// The append-only edge-delta journal persisted in a v6 container's
 /// optional `journal` section.
 ///
@@ -394,11 +418,7 @@ impl StoredJournal {
         words.push(self.compactions);
         words.push(self.deltas.len() as u64);
         for d in &self.deltas {
-            words.push(match d.op {
-                DeltaOp::Insert => JOURNAL_OP_INSERT,
-                DeltaOp::Delete => JOURNAL_OP_DELETE,
-            });
-            words.push(((d.u as u64) << 32) | d.v as u64);
+            words.extend(encode_delta(d));
         }
         words
     }
@@ -417,14 +437,7 @@ impl StoredJournal {
         }
         let mut deltas = Vec::with_capacity(count);
         for pair in words[3..].chunks_exact(2) {
-            let op = match pair[0] {
-                JOURNAL_OP_INSERT => DeltaOp::Insert,
-                JOURNAL_OP_DELETE => DeltaOp::Delete,
-                _ => return None,
-            };
-            let u = (pair[1] >> 32) as u32;
-            let v = pair[1] as u32;
-            deltas.push(EdgeDelta { op, u, v });
+            deltas.push(decode_delta(pair[0], pair[1])?);
         }
         Some(Self {
             deltas,
@@ -599,6 +612,11 @@ pub(crate) fn file_checksum(bytes: &[u8]) -> u64 {
     state = crc64_update(state, &[0u8; 8]);
     state = crc64_update(state, &bytes[CHECKSUM_OFFSET + 8..]);
     crc64_finish(state)
+}
+
+/// The checksum recorded in a serialised container's header.
+pub(crate) fn stored_checksum(bytes: &[u8]) -> u64 {
+    u64_le(bytes, CHECKSUM_OFFSET)
 }
 
 /// Serialises a graph and its index into an in-memory `.hcl` container

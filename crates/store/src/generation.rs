@@ -12,6 +12,13 @@
 //! an mmap pins its inode, the whole reload pipeline — writer saves, server
 //! re-opens, handle swaps — never exposes a torn or truncated view.
 //!
+//! Live updates publish through the same swap, without a container
+//! image: [`IndexStore::with_live`] wraps the update engine's owned graph
+//! and index (both `Arc`s) in a store that shares the current
+//! generation's validated base bytes, so a swap copies and re-parses
+//! nothing. Durability is the engine's business — a WAL frame or a
+//! checkpoint is on disk before it swaps.
+//!
 //! The handle is deliberately storage-level: it knows nothing about
 //! sockets or request routing, so the same type serves a CLI server, a
 //! test harness hammering swaps, or an embedding application.

@@ -53,6 +53,7 @@ pub mod durable;
 mod error;
 mod format;
 mod generation;
+mod wal;
 
 pub use checksum::crc64;
 pub use error::StoreError;
@@ -63,17 +64,19 @@ pub use format::{
     FORMAT_VERSION, HEADER_LEN, LEGACY_HEADER_LEN, MAGIC, OLDEST_READABLE_VERSION,
 };
 pub use generation::{Generation, GenerationHandle};
+pub use wal::{wal_path, Wal, WalInfo, WAL_FRAME_HEADER_LEN, WAL_HEADER_LEN};
 // The strategy type recorded in [`BuildInfo`] lives in `hcl-index`;
 // re-exported so store-level tooling does not need the extra import.
 pub use hcl_index::SelectionStrategy;
 
 use backing::{cast_u32s, cast_u64s, AlignedBuf, Backing};
 use format::{LabelRanges, Layout};
-use hcl_core::{DeltaGraph, Graph, GraphView, VertexId};
+use hcl_core::{DeltaGraph, EdgeDelta, Graph, GraphView, VertexId};
 use hcl_index::repair::DynamicIndex;
 use hcl_index::{pack_label_entry, BuildContext, HighwayCoverIndex, IndexView};
 use std::fs::File;
 use std::path::Path;
+use std::sync::Arc;
 
 /// Serialises `graph` and `index` and writes them to `path` atomically,
 /// leaving the header's build-metadata bytes unrecorded; see [`save_with`].
@@ -107,10 +110,20 @@ pub fn save_with(
 
 /// Durable write-to-temporary-then-rename (temp fsync, rename, directory
 /// fsync — see [`durable`]), shared by every save entry point.
+///
+/// A new container supersedes the delta WAL beside it, so the WAL is
+/// removed afterwards (best effort). Until then it is stale — bound to
+/// the old checksum — or, for a byte-identical rewrite, still describes
+/// the state before the save: either way a crash in between reopens to
+/// the old state or the new one.
 fn write_atomically(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
     // `SystemIo` proceeds at every step, so the outcome is always
     // `Committed`; the `Crashed` arm only exists for fault simulators.
-    durable::publish_with(path, bytes, &durable::SystemIo).map(|_| ())
+    durable::publish_with(path, bytes, &durable::SystemIo)?;
+    if std::fs::remove_file(wal_path(path)).is_ok() {
+        durable::sync_parent_dir(path).ok();
+    }
+    Ok(())
 }
 
 /// [`save_with`] plus the build's thread-count-invariant counters recorded
@@ -146,10 +159,46 @@ pub fn save_with_journal(
     Ok(bytes.len() as u64)
 }
 
+/// What a [`checkpoint`] wrote.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Checkpoint {
+    /// Container size in bytes.
+    pub bytes: u64,
+    /// The new container's header checksum — what a WAL must bind to.
+    pub checksum: u64,
+}
+
+/// Writes `graph`/`index` as the container at `path` with an empty
+/// journal section and `compactions` as its counter, through the durable
+/// publish, then removes the delta WAL beside it (best effort).
+///
+/// This is the checkpoint of the live-update path: the WAL's deltas are
+/// folded into the new base sections. The new checksum makes the old WAL
+/// stale, so a crash between the publish and the removal reopens to the
+/// checkpointed state.
+pub fn checkpoint(
+    path: impl AsRef<Path>,
+    graph: &Graph,
+    index: &HighwayCoverIndex,
+    build: BuildInfo,
+    compactions: u64,
+) -> Result<Checkpoint, StoreError> {
+    let journal = StoredJournal {
+        deltas: Vec::new(),
+        compactions,
+    };
+    let bytes = serialize_with_journal(graph, index, build, &journal)?;
+    write_atomically(path.as_ref(), &bytes)?;
+    Ok(Checkpoint {
+        bytes: bytes.len() as u64,
+        checksum: format::stored_checksum(&bytes),
+    })
+}
+
 /// What [`compact_file`] did, for logging and `inspect`-style tooling.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CompactReport {
-    /// Journal deltas folded into the base sections.
+    /// Journal and WAL deltas folded into the base sections.
     pub deltas_folded: usize,
     /// Container size before compaction, in bytes.
     pub bytes_before: u64,
@@ -159,42 +208,37 @@ pub struct CompactReport {
     pub compactions: u64,
 }
 
-/// Folds a container's delta journal into its base sections: opens the
-/// file (which replays pending deltas and repairs the labels), then
-/// atomically republishes it with the replayed state as the new base, an
-/// empty journal, and the compaction counter bumped.
+/// Folds a container's pending deltas — its journal section and its
+/// delta WAL — into its base sections: opens the file (which replays
+/// them and repairs the labels), then [`checkpoint`]s the replayed state
+/// with the compaction counter bumped.
 ///
-/// The write goes through the durable temp-fsync/rename/dir-fsync path
-/// ([`durable`]), so a crash mid-compaction leaves the old journalled
-/// container intact. A file whose journal is already empty (or absent) is
-/// rewritten only when it predates v6, upgrading it in place; otherwise
-/// it is left untouched.
+/// A crash mid-compaction leaves the old container and its WAL intact. A
+/// file with nothing pending is rewritten only when it predates v6,
+/// upgrading it in place; otherwise it is left untouched.
 pub fn compact_file(path: impl AsRef<Path>) -> Result<CompactReport, StoreError> {
     let path = path.as_ref();
     let store = IndexStore::open(path)?;
     let meta = store.meta();
-    let journal = store.journal().cloned().unwrap_or_default();
-    if journal.is_empty() && meta.version >= 6 {
+    let pending = store.pending_deltas();
+    let compactions = store.journal().map_or(0, |j| j.compactions);
+    if pending == 0 && meta.version >= 6 {
         let len = store.len_bytes();
         return Ok(CompactReport {
             deltas_folded: 0,
             bytes_before: len,
             bytes_after: len,
-            compactions: journal.compactions,
+            compactions,
         });
     }
     let (graph, index) = store.to_owned_parts();
-    let folded = StoredJournal {
-        deltas: Vec::new(),
-        compactions: journal.compactions + u64::from(!journal.is_empty()),
-    };
-    let bytes = serialize_with_journal(&graph, &index, meta.build, &folded)?;
-    write_atomically(path, &bytes)?;
+    let compactions = compactions + u64::from(pending > 0);
+    let written = checkpoint(path, &graph, &index, meta.build, compactions)?;
     Ok(CompactReport {
-        deltas_folded: journal.len(),
+        deltas_folded: pending,
         bytes_before: meta.file_len,
-        bytes_after: bytes.len() as u64,
-        compactions: folded.compactions,
+        bytes_after: written.bytes,
+        compactions,
     })
 }
 
@@ -221,34 +265,47 @@ enum OpenMode {
 /// Version-2 files (split hub/distance label sections) are served through
 /// a converting open: the label entries are packed into an owned array
 /// once at load, while every other section still serves zero-copy.
+///
+/// The validated base is shared: [`with_live`](IndexStore::with_live)
+/// makes another store over the same bytes that serves owned live parts,
+/// which is how a live update publishes a generation without writing or
+/// re-parsing a container.
 pub struct IndexStore {
+    base: Arc<Base>,
+    /// The delta WAL found beside the file at open (`None` when there
+    /// was none, or the store was not opened from a path).
+    wal: Option<WalInfo>,
+    /// Current graph/index when it differs from the base sections: the
+    /// journal and WAL replayed at open, or live parts handed to
+    /// [`with_live`](IndexStore::with_live). When present,
+    /// [`IndexStore::graph`] and [`IndexStore::index`] serve these instead
+    /// of the (older) base sections.
+    replayed: Option<ReplayedState>,
+}
+
+/// The immutable, validated container every store over it shares.
+struct Base {
     backing: Backing,
     layout: Layout,
-    /// Owned packed label entries for v2 files (`None` for v3, which
-    /// serves them straight from the backing).
+    /// Owned packed label entries for v2 files (`None` for v3+, which
+    /// serve them straight from the backing).
     converted_entries: Option<Vec<u64>>,
     /// The decoded delta journal of a v6 file (`None` when the file has
     /// no journal section).
     journal: Option<StoredJournal>,
-    /// Current graph/index reconstructed by replaying a non-empty journal
-    /// over the base sections at open. When present, [`IndexStore::graph`]
-    /// and [`IndexStore::index`] serve these instead of the (stale) base
-    /// sections.
-    replayed: Option<ReplayedState>,
 }
 
-/// Owned current state of a journalled container: base sections plus
-/// replayed deltas, with labels repaired incrementally at open.
+/// Owned current state: base sections plus replayed or live deltas.
 struct ReplayedState {
-    graph: Graph,
-    index: HighwayCoverIndex,
+    graph: Arc<Graph>,
+    index: Arc<HighwayCoverIndex>,
 }
 
 impl std::fmt::Debug for IndexStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("IndexStore")
             .field("backing", &self.backing_kind())
-            .field("meta", &self.layout.meta)
+            .field("meta", &self.base.layout.meta)
             .finish()
     }
 }
@@ -256,7 +313,9 @@ impl std::fmt::Debug for IndexStore {
 impl IndexStore {
     /// Opens a container with **full validation**, preferring the
     /// zero-copy memory-mapped backing and falling back to a heap copy
-    /// where mmap is unavailable.
+    /// where mmap is unavailable. Pending deltas replay in order: the
+    /// container's journal section, then the delta WAL beside it
+    /// ([`wal_path`]) when it is bound to this container.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, StoreError> {
         Self::open_mode(path, OpenMode::Validated)
     }
@@ -274,14 +333,14 @@ impl IndexStore {
     /// tampered-but-well-formed file therefore yields wrong answers,
     /// never panics or UB (the same contract as
     /// [`IndexView::from_parts`]); use [`IndexStore::open`] for files of
-    /// unknown provenance.
+    /// unknown provenance. WAL frames are CRC-checked either way.
     pub fn open_trusted(path: impl AsRef<Path>) -> Result<Self, StoreError> {
         Self::open_mode(path, OpenMode::Trusted)
     }
 
     fn open_mode(path: impl AsRef<Path>, mode: OpenMode) -> Result<Self, StoreError> {
         let path = path.as_ref();
-        let file = File::open(path)?;
+        let mut file = File::open(path)?;
         let len = file.metadata()?.len();
 
         // `not(miri)`: Miri cannot execute the mmap FFI, so under Miri
@@ -291,47 +350,243 @@ impl IndexStore {
         {
             if len > 0 {
                 if let Ok(map) = backing::mmap::Mmap::map(&file, len as usize) {
-                    return Self::from_backing(Backing::Mmap(map), mode);
+                    return Self::from_backing_at(Backing::Mmap(map), mode, path);
                 }
             }
         }
-        Self::open_via_read(file, len, mode)
+        let buf = AlignedBuf::read_from(&mut file, len as usize)?;
+        Self::from_backing_at(Backing::Heap(buf), mode, path)
     }
 
     /// Opens a container by reading it fully into an aligned heap buffer —
     /// the portable path, also useful when the file lives on storage where
     /// mapped page faults are slower than one sequential read.
     pub fn open_preloaded(path: impl AsRef<Path>) -> Result<Self, StoreError> {
-        let file = File::open(path)?;
+        let path = path.as_ref();
+        let mut file = File::open(path)?;
         let len = file.metadata()?.len();
-        Self::open_via_read(file, len, OpenMode::Validated)
-    }
-
-    fn open_via_read(mut file: File, len: u64, mode: OpenMode) -> Result<Self, StoreError> {
         let buf = AlignedBuf::read_from(&mut file, len as usize)?;
-        Self::from_backing(Backing::Heap(buf), mode)
+        Self::from_backing_at(Backing::Heap(buf), OpenMode::Validated, path)
     }
 
     /// Validates an in-memory container image (copied into an aligned heap
     /// buffer). Handy for tests and for receiving index images over the
     /// network.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, StoreError> {
-        Self::from_backing(
+        let base = Base::validate(
             Backing::Heap(AlignedBuf::copy_from(bytes)),
             OpenMode::Validated,
-        )
+        )?;
+        Self::replay(base, None)
     }
 
     /// [`from_bytes`](IndexStore::from_bytes) without the CRC pass; the
     /// in-memory counterpart of [`open_trusted`](IndexStore::open_trusted).
     pub fn from_bytes_trusted(bytes: &[u8]) -> Result<Self, StoreError> {
-        Self::from_backing(
+        let base = Base::validate(
             Backing::Heap(AlignedBuf::copy_from(bytes)),
             OpenMode::Trusted,
-        )
+        )?;
+        Self::replay(base, None)
     }
 
-    fn from_backing(backing: Backing, mode: OpenMode) -> Result<Self, StoreError> {
+    /// A store over a graph and index built in this process, with no file
+    /// behind it: they are serialised once into an in-memory container
+    /// (trusted — a CRC pass over bytes produced here proves nothing).
+    pub fn from_owned(graph: &Graph, index: &HighwayCoverIndex) -> Result<Self, StoreError> {
+        Self::from_bytes_trusted(&serialize(graph, index)?)
+    }
+
+    /// Validates `backing` and replays its journal plus the WAL beside
+    /// `path`.
+    fn from_backing_at(backing: Backing, mode: OpenMode, path: &Path) -> Result<Self, StoreError> {
+        let base = Base::validate(backing, mode)?;
+        let wal = wal::scan(&wal_path(path), base.layout.meta.checksum)?;
+        Self::replay(base, wal)
+    }
+
+    /// Replays the journal section and then the WAL's deltas over the
+    /// base sections — applying each edit to a delta overlay and
+    /// repairing the labels incrementally — so the store serves
+    /// *current* state. A delta that cannot be applied is a hard error:
+    /// silently dropping edits would serve stale answers as if they were
+    /// current.
+    fn replay(base: Base, wal: Option<wal::WalScan>) -> Result<Self, StoreError> {
+        let journal: &[EdgeDelta] = base.journal.as_ref().map_or(&[], |j| &j.deltas);
+        let logged: &[EdgeDelta] = wal.as_ref().map_or(&[], |w| &w.deltas);
+        let replayed = if journal.is_empty() && logged.is_empty() {
+            None
+        } else {
+            let mut overlay = DeltaGraph::new(base.graph());
+            let mut dynamic = DynamicIndex::from_view(base.index());
+            let mut cx = BuildContext::new();
+            let sources = [("journal", journal), ("WAL", logged)];
+            for (source, deltas) in sources {
+                for (i, &delta) in deltas.iter().enumerate() {
+                    dynamic
+                        .apply_and_repair(&mut overlay, delta, &mut cx)
+                        .map_err(|e| StoreError::Corrupt {
+                            what: format!("{source} delta {i} ({delta}) cannot be applied: {e}"),
+                        })?;
+                }
+            }
+            Some(ReplayedState {
+                graph: Arc::new(overlay.to_graph()),
+                index: Arc::new(dynamic.to_index()),
+            })
+        };
+        Ok(Self {
+            base: Arc::new(base),
+            wal: wal.map(|w| w.info),
+            replayed,
+        })
+    }
+
+    /// Another store over this store's validated base bytes that serves
+    /// `graph` and `index` as its current state — the generation a live
+    /// update publishes. Nothing is copied or re-parsed: the base is
+    /// shared, the parts are shared. [`verify_checksum`](
+    /// IndexStore::verify_checksum), [`meta`](IndexStore::meta) and the
+    /// `base_*` accessors keep describing the base bytes; the new store
+    /// reports no WAL.
+    ///
+    /// # Panics
+    /// Panics if `graph` and `index` disagree on the vertex count.
+    pub fn with_live(&self, graph: Arc<Graph>, index: Arc<HighwayCoverIndex>) -> Self {
+        assert_eq!(
+            graph.num_vertices(),
+            index.num_vertices(),
+            "live graph and index disagree on the vertex count"
+        );
+        Self {
+            base: Arc::clone(&self.base),
+            wal: None,
+            replayed: Some(ReplayedState { graph, index }),
+        }
+    }
+
+    /// The *current* graph: the replayed or live state when there is
+    /// one, otherwise the base sections zero-copy from the backing.
+    pub fn graph(&self) -> GraphView<'_> {
+        match &self.replayed {
+            Some(state) => state.graph.as_view(),
+            None => self.base.graph(),
+        }
+    }
+
+    /// The *current* index: the replayed (incrementally repaired) or live
+    /// state when there is one, otherwise the base sections (zero-copy
+    /// for v3+ files; label entries come from the converted array for v2
+    /// files).
+    pub fn index(&self) -> IndexView<'_> {
+        match &self.replayed {
+            Some(state) => state.index.as_view(),
+            None => self.base.index(),
+        }
+    }
+
+    /// The graph exactly as stored in the base sections — the
+    /// as-last-compacted state a journalled file's deltas replay over.
+    /// Identical to [`graph`](IndexStore::graph) when nothing is pending.
+    pub fn base_graph(&self) -> GraphView<'_> {
+        self.base.graph()
+    }
+
+    /// The index exactly as stored in the base sections; see
+    /// [`base_graph`](IndexStore::base_graph).
+    pub fn base_index(&self) -> IndexView<'_> {
+        self.base.index()
+    }
+
+    /// The decoded delta journal of a v6 container, or `None` for files
+    /// that predate the journal section or were written without one.
+    pub fn journal(&self) -> Option<&StoredJournal> {
+        self.base.journal.as_ref()
+    }
+
+    /// Size in bytes of the journal section on disk (0 when absent).
+    pub fn journal_bytes(&self) -> u64 {
+        self.base
+            .layout
+            .journal
+            .as_ref()
+            .map_or(0, |r| (r.end - r.start) as u64)
+    }
+
+    /// The delta WAL found beside the file at open, stale or not (`None`
+    /// when there was none, or the store was not opened from a path).
+    pub fn wal(&self) -> Option<&WalInfo> {
+        self.wal.as_ref()
+    }
+
+    /// Deltas replayed at open over the base sections: the journal
+    /// section's plus a bound WAL's.
+    pub fn pending_deltas(&self) -> usize {
+        let journal = self.journal().map_or(0, StoredJournal::len);
+        let logged = self.wal.filter(|w| !w.stale).map_or(0, |w| w.deltas);
+        journal + logged
+    }
+
+    /// Header metadata (counts, version, checksum) of the base container
+    /// — available without touching section bytes.
+    pub fn meta(&self) -> StoreMeta {
+        self.base.layout.meta
+    }
+
+    /// Per-section name/offset/size information for inspection tooling
+    /// (7 sections for v3/v4 files, 8 for v2, 7 or 8 for v5).
+    pub fn sections(&self) -> Vec<SectionInfo> {
+        self.base.layout.sections()
+    }
+
+    /// The build counters recorded in the container's optional
+    /// `build_stats` section (v5+), or `None` when the file predates the
+    /// section, was written without one, or carries a stats layout this
+    /// reader does not understand — deep-inspection tooling degrades
+    /// gracefully on legacy containers.
+    pub fn build_stats(&self) -> Option<StoredBuildStats> {
+        let range = self.base.layout.build_stats.clone()?;
+        let words = cast_u64s(&self.base.backing.bytes()[range]);
+        StoredBuildStats::decode(words, self.base.layout.meta.num_landmarks)
+    }
+
+    /// Which backing serves this store: `"mmap"` or `"heap"`.
+    pub fn backing_kind(&self) -> &'static str {
+        self.base.backing.kind()
+    }
+
+    /// Total size of the container in bytes.
+    pub fn len_bytes(&self) -> u64 {
+        self.base.layout.meta.file_len
+    }
+
+    /// Copies the stored graph and index into owned structures (a full
+    /// deserialisation, for callers that want to drop the file).
+    pub fn to_owned_parts(&self) -> (Graph, HighwayCoverIndex) {
+        (self.graph().to_owned_graph(), self.index().to_owned_index())
+    }
+
+    /// Re-runs the whole-file CRC-64 pass over this store's base bytes,
+    /// comparing against the checksum recorded in the header.
+    ///
+    /// This is the integrity-scrubber entry point: a store opened via
+    /// [`open_trusted`](IndexStore::open_trusted) (which skipped the CRC
+    /// pass), or one mapped long enough for storage rot to matter, can be
+    /// re-verified in place without reopening. Returns
+    /// [`StoreError::ChecksumMismatch`] when the bytes no longer hash to
+    /// the header's value.
+    pub fn verify_checksum(&self) -> Result<(), StoreError> {
+        let computed = format::file_checksum(self.base.backing.bytes());
+        let stored = self.base.layout.meta.checksum;
+        if computed != stored {
+            return Err(StoreError::ChecksumMismatch { stored, computed });
+        }
+        Ok(())
+    }
+}
+
+impl Base {
+    fn validate(backing: Backing, mode: OpenMode) -> Result<Self, StoreError> {
         #[cfg(target_endian = "big")]
         {
             return Err(StoreError::UnsupportedPlatform {
@@ -381,12 +636,8 @@ impl IndexStore {
                 });
             }
 
-            // v6: decode the journal and, when it holds pending deltas,
-            // replay them over the base sections — applying each edit to a
-            // delta overlay and repairing the labels incrementally — so
-            // the store serves *current* state. An undecodable journal is
-            // a hard error: silently dropping edits would serve stale
-            // answers as if they were current.
+            // v6: an undecodable journal is a hard error, like an
+            // unappliable delta at replay.
             let journal =
                 match &layout.journal {
                     None => None,
@@ -398,62 +649,17 @@ impl IndexStore {
                     })?)
                     }
                 };
-            let replayed = match &journal {
-                Some(j) if !j.is_empty() => {
-                    let mut overlay = DeltaGraph::new(graph);
-                    let mut dynamic = DynamicIndex::from_view(index);
-                    let mut cx = BuildContext::new();
-                    for (i, &delta) in j.deltas.iter().enumerate() {
-                        dynamic
-                            .apply_and_repair(&mut overlay, delta, &mut cx)
-                            .map_err(|e| StoreError::Corrupt {
-                                what: format!("journal delta {i} ({delta}) cannot be applied: {e}"),
-                            })?;
-                    }
-                    Some(ReplayedState {
-                        graph: overlay.to_graph(),
-                        index: dynamic.to_index(),
-                    })
-                }
-                _ => None,
-            };
 
             Ok(Self {
                 backing,
                 layout,
                 converted_entries,
                 journal,
-                replayed,
             })
         }
     }
 
-    /// The *current* graph: the replayed state for a journalled container
-    /// with pending deltas, otherwise the base sections zero-copy from the
-    /// backing.
-    pub fn graph(&self) -> GraphView<'_> {
-        match &self.replayed {
-            Some(state) => state.graph.as_view(),
-            None => self.base_graph(),
-        }
-    }
-
-    /// The *current* index: the replayed (incrementally repaired) state
-    /// for a journalled container with pending deltas, otherwise the base
-    /// sections (zero-copy for v3+ files; label entries come from the
-    /// converted array for v2 files).
-    pub fn index(&self) -> IndexView<'_> {
-        match &self.replayed {
-            Some(state) => state.index.as_view(),
-            None => self.base_index(),
-        }
-    }
-
-    /// The graph exactly as stored in the base sections — the
-    /// as-last-compacted state a journalled file's deltas replay over.
-    /// Identical to [`graph`](IndexStore::graph) when the journal is
-    /// empty or absent.
-    pub fn base_graph(&self) -> GraphView<'_> {
+    fn graph(&self) -> GraphView<'_> {
         let bytes = self.backing.bytes();
         GraphView::from_csr_unchecked(
             cast_u64s(&bytes[self.layout.graph_offsets.clone()]),
@@ -461,9 +667,7 @@ impl IndexStore {
         )
     }
 
-    /// The index exactly as stored in the base sections; see
-    /// [`base_graph`](IndexStore::base_graph).
-    pub fn base_index(&self) -> IndexView<'_> {
+    fn index(&self) -> IndexView<'_> {
         let bytes = self.backing.bytes();
         let entries = packed_entries(&self.layout.labels, &self.converted_entries, bytes);
         IndexView::from_parts_unchecked(
@@ -474,94 +678,30 @@ impl IndexStore {
             cast_u32s(&bytes[self.layout.highway.clone()]),
         )
     }
-
-    /// The decoded delta journal of a v6 container, or `None` for files
-    /// that predate the journal section or were written without one.
-    pub fn journal(&self) -> Option<&StoredJournal> {
-        self.journal.as_ref()
-    }
-
-    /// Size in bytes of the journal section on disk (0 when absent).
-    pub fn journal_bytes(&self) -> u64 {
-        self.layout
-            .journal
-            .as_ref()
-            .map_or(0, |r| (r.end - r.start) as u64)
-    }
-
-    /// Header metadata (counts, version, checksum) — available without
-    /// touching section bytes.
-    pub fn meta(&self) -> StoreMeta {
-        self.layout.meta
-    }
-
-    /// Per-section name/offset/size information for inspection tooling
-    /// (7 sections for v3/v4 files, 8 for v2, 7 or 8 for v5).
-    pub fn sections(&self) -> Vec<SectionInfo> {
-        self.layout.sections()
-    }
-
-    /// The build counters recorded in the container's optional
-    /// `build_stats` section (v5+), or `None` when the file predates the
-    /// section, was written without one, or carries a stats layout this
-    /// reader does not understand — deep-inspection tooling degrades
-    /// gracefully on legacy containers.
-    pub fn build_stats(&self) -> Option<StoredBuildStats> {
-        let range = self.layout.build_stats.clone()?;
-        let words = cast_u64s(&self.backing.bytes()[range]);
-        StoredBuildStats::decode(words, self.layout.meta.num_landmarks)
-    }
-
-    /// Which backing serves this store: `"mmap"` or `"heap"`.
-    pub fn backing_kind(&self) -> &'static str {
-        self.backing.kind()
-    }
-
-    /// Total size of the container in bytes.
-    pub fn len_bytes(&self) -> u64 {
-        self.layout.meta.file_len
-    }
-
-    /// Copies the stored graph and index into owned structures (a full
-    /// deserialisation, for callers that want to drop the file).
-    pub fn to_owned_parts(&self) -> (Graph, HighwayCoverIndex) {
-        (self.graph().to_owned_graph(), self.index().to_owned_index())
-    }
-
-    /// Re-runs the whole-file CRC-64 pass over this store's live backing
-    /// bytes, comparing against the checksum recorded in the header.
-    ///
-    /// This is the integrity-scrubber entry point: a store opened via
-    /// [`open_trusted`](IndexStore::open_trusted) (which skipped the CRC
-    /// pass), or one mapped long enough for storage rot to matter, can be
-    /// re-verified in place without reopening. Returns
-    /// [`StoreError::ChecksumMismatch`] when the bytes no longer hash to
-    /// the header's value.
-    pub fn verify_checksum(&self) -> Result<(), StoreError> {
-        let computed = format::file_checksum(self.backing.bytes());
-        let stored = self.layout.meta.checksum;
-        if computed != stored {
-            return Err(StoreError::ChecksumMismatch { stored, computed });
-        }
-        Ok(())
-    }
 }
 
 /// Fully validates the container at `path` — header, section geometry,
 /// whole-file CRC-64, and semantic CSR/label invariants — by reading it
-/// into a heap buffer, without constructing a served store. Returns the
-/// header metadata on success.
+/// into a heap buffer, without constructing a served store; then checks
+/// the delta WAL beside it: a bad header or a bad non-final frame is
+/// [`StoreError::Corrupt`] (a stale WAL or a torn tail is fine — opens
+/// ignore both). Returns the header metadata on success.
 ///
 /// This is what the serving-path scrubber runs against a reload *source*:
 /// it always re-reads the file's current bytes (an existing mmap of the
 /// old inode would keep serving pre-rename contents), costs no mmap
-/// bookkeeping, and drops the buffer before returning.
+/// bookkeeping, and drops the buffer before returning. Pending deltas
+/// are CRC-checked, not replayed.
 pub fn verify_file(path: impl AsRef<Path>) -> Result<StoreMeta, StoreError> {
-    let mut file = File::open(path.as_ref())?;
+    let path = path.as_ref();
+    let mut file = File::open(path)?;
     let len = file.metadata()?.len();
     let buf = AlignedBuf::read_from(&mut file, len as usize)?;
-    let store = IndexStore::from_backing(Backing::Heap(buf), OpenMode::Validated)?;
-    Ok(store.layout.meta)
+    let meta = Base::validate(Backing::Heap(buf), OpenMode::Validated)?
+        .layout
+        .meta;
+    wal::scan(&wal_path(path), meta.checksum)?;
+    Ok(meta)
 }
 
 /// Resolves the packed label-entry slice for a layout: straight from the

@@ -287,3 +287,63 @@ fn corrupted_file_on_disk_fails_via_open_too() {
     assert!(matches!(err, StoreError::ChecksumMismatch { .. }));
     std::fs::remove_file(&path).ok();
 }
+
+/// Every single-bit flip and every truncation of a delta WAL opens to a
+/// prefix of its batches or to a typed error — never a panic, never a
+/// batch that was not written.
+#[test]
+fn damaged_wal_opens_to_a_batch_prefix_or_a_typed_error() {
+    use hcl_core::EdgeDelta;
+    let dir = std::env::temp_dir().join(format!("hcl_corrupt_wal_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("g.hcl");
+    std::fs::write(&path, sample_bytes()).unwrap();
+    let base = IndexStore::open(&path).unwrap();
+    let edges = |s: &IndexStore| s.graph().num_edges();
+    let base_edges = edges(&base);
+    let mut wal = hcl_store::Wal::open(&path, base.meta().checksum).unwrap();
+    drop(base);
+    let n = 80u32;
+    let non_edges: Vec<(u32, u32)> = {
+        let s = IndexStore::open(&path).unwrap();
+        (0..n)
+            .flat_map(|u| ((u + 1)..n).map(move |v| (u, v)))
+            .filter(|&(u, v)| !s.graph().has_edge(u, v))
+            .take(3)
+            .collect()
+    };
+    for &(u, v) in &non_edges {
+        wal.append(&[EdgeDelta::insert(u, v)]).unwrap();
+    }
+    let wal_file = hcl_store::wal_path(&path);
+    let pristine = std::fs::read(&wal_file).unwrap();
+    // Each surviving batch adds one edge; anything else is a bug.
+    let check = |what: &str| match IndexStore::open(&path) {
+        Ok(s) => {
+            let added = edges(&s) - base_edges;
+            assert!(added <= non_edges.len(), "{what}: {added} edges appeared");
+            for &(u, v) in &non_edges[..added] {
+                assert!(s.graph().has_edge(u, v), "{what}: not a batch prefix");
+            }
+        }
+        Err(e) => assert!(
+            matches!(e, StoreError::Corrupt { .. }),
+            "{what}: expected a typed WAL error, got {e:?}"
+        ),
+    };
+    // Every position natively; a stride under the (much slower) Miri.
+    let stride = if cfg!(miri) { 11 } else { 1 };
+    for cut in (0..pristine.len()).step_by(stride) {
+        std::fs::write(&wal_file, &pristine[..cut]).unwrap();
+        check(&format!("truncated to {cut}"));
+    }
+    for byte in (0..pristine.len()).step_by(stride) {
+        for bit in [0u8, 3, 7] {
+            let mut flipped = pristine.clone();
+            flipped[byte] ^= 1 << bit;
+            std::fs::write(&wal_file, &flipped).unwrap();
+            check(&format!("bit {bit} of byte {byte} flipped"));
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

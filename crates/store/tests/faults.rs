@@ -8,16 +8,23 @@
 //! target path always yields the **old complete container**, the **new
 //! complete container**, or a **typed error** — never accepted garbage.
 //!
+//! The delta WAL gets the same treatment one level up: every
+//! [`PublishStep::WAL`] step × decision over a first and a later append,
+//! and torn appends cut at byte positions. A reopen must give the state
+//! before the batch, the state after it, or a typed error — a
+//! half-applied batch never.
+//!
 //! Set `HCL_FAULT_SWEEP=full` (the fault-injection CI job does) to
 //! densify the torn-write cut positions from a handful of landmarks to a
 //! sweep across the whole payload.
 
-use hcl_core::testkit;
-use hcl_index::{HighwayCoverIndex, IndexConfig};
+use hcl_core::{testkit, DeltaGraph, EdgeDelta, Graph};
+use hcl_index::repair::DynamicIndex;
+use hcl_index::{BuildContext, HighwayCoverIndex, IndexConfig};
 use hcl_store::durable::{
     publish_with, IoDecision, PublishOutcome, PublishStep, StoreIo, SystemIo,
 };
-use hcl_store::{IndexStore, StoreError};
+use hcl_store::{wal_path, BuildInfo, IndexStore, StoreError, Wal};
 use std::path::{Path, PathBuf};
 
 /// Serialised container with `k` landmarks over the shared sample graph;
@@ -374,4 +381,323 @@ fn save_is_durable_and_leaves_no_temps() {
     store
         .verify_checksum()
         .expect("freshly saved file verifies");
+}
+
+// ---------------------------------------------------------------------------
+// The delta WAL
+// ---------------------------------------------------------------------------
+
+/// Everything a store serves, flattened for equality checks.
+type Fingerprint = (Vec<u64>, Vec<u32>, Vec<u64>, Vec<u64>, Vec<u32>);
+
+fn fingerprint(store: &IndexStore) -> Fingerprint {
+    let (g, ix) = (store.graph(), store.index());
+    (
+        g.csr_offsets().to_vec(),
+        g.csr_neighbors().to_vec(),
+        ix.label_offsets().to_vec(),
+        ix.label_entries().to_vec(),
+        ix.highway().to_vec(),
+    )
+}
+
+/// The WAL fixture: a container on disk and the in-memory states a
+/// reopen may legally produce after each batch.
+struct WalFixture {
+    scratch: Scratch,
+    graph: Graph,
+    index: HighwayCoverIndex,
+}
+
+impl WalFixture {
+    fn new(tag: &str) -> Self {
+        let scratch = Scratch::new(tag);
+        let graph = testkit::barabasi_albert(80, 3, 4);
+        let index = HighwayCoverIndex::build(&graph, IndexConfig { num_landmarks: 4 });
+        hcl_store::save(scratch.target(), &graph, &index).expect("save");
+        Self {
+            scratch,
+            graph,
+            index,
+        }
+    }
+
+    fn target(&self) -> PathBuf {
+        self.scratch.target()
+    }
+
+    fn checksum(&self) -> u64 {
+        IndexStore::open(self.target()).unwrap().meta().checksum
+    }
+
+    /// Base plus `batches`, repaired in memory — the reference states.
+    fn state_after(&self, batches: &[&[EdgeDelta]]) -> (Graph, HighwayCoverIndex) {
+        let mut graph = self.graph.clone();
+        let mut dynamic = DynamicIndex::from_view(self.index.as_view());
+        let mut cx = BuildContext::new();
+        for d in batches.iter().flat_map(|b| b.iter()) {
+            let mut overlay = DeltaGraph::new(graph.as_view());
+            let outcome = dynamic.apply_and_repair(&mut overlay, *d, &mut cx).unwrap();
+            assert!(outcome.applied, "test batches hold effective deltas only");
+            graph = overlay.to_graph();
+        }
+        (graph, dynamic.to_index())
+    }
+
+    fn fingerprint_after(&self, batches: &[&[EdgeDelta]]) -> Fingerprint {
+        let (graph, index) = self.state_after(batches);
+        let store = IndexStore::from_owned(&graph, &index).unwrap();
+        fingerprint(&store)
+    }
+}
+
+/// Two effective batches over the fixture graph: inserts of non-edges,
+/// then one delete.
+fn batches(graph: &Graph) -> (Vec<EdgeDelta>, Vec<EdgeDelta>) {
+    let n = graph.num_vertices() as u32;
+    let mut non_edges = (0..n)
+        .flat_map(|u| ((u + 1)..n).map(move |v| (u, v)))
+        .filter(|&(u, v)| !graph.has_edge(u, v));
+    let mut insert = || {
+        let (u, v) = non_edges.next().unwrap();
+        EdgeDelta::insert(u, v)
+    };
+    let a = vec![insert(), insert()];
+    let v0 = graph.neighbors(7)[0];
+    let b = vec![insert(), EdgeDelta::delete(7, v0), insert()];
+    (a, b)
+}
+
+/// What a reopen gave, relative to the batch under test.
+#[derive(Debug, PartialEq)]
+enum Reopened {
+    Before,
+    After,
+    TypedError,
+}
+
+fn reopen(target: &Path, before: &Fingerprint, after: &Fingerprint, schedule: &str) -> Reopened {
+    match IndexStore::open(target) {
+        Ok(store) => {
+            let got = fingerprint(&store);
+            if &got == before {
+                Reopened::Before
+            } else if &got == after {
+                Reopened::After
+            } else {
+                panic!("{schedule}: reopen served a state that is neither before nor after");
+            }
+        }
+        Err(StoreError::Corrupt { .. } | StoreError::Io(_)) => Reopened::TypedError,
+        Err(other) => panic!("{schedule}: unexpected error kind {other:?}"),
+    }
+}
+
+/// Frame bytes of a batch (for cut positions): 16-byte prefix + 16 per
+/// delta, plus the 32-byte header on a fresh WAL.
+fn append_len(deltas: usize, fresh: bool) -> usize {
+    hcl_store::WAL_FRAME_HEADER_LEN
+        + 16 * deltas
+        + if fresh { hcl_store::WAL_HEADER_LEN } else { 0 }
+}
+
+/// Every WAL step × decision, on the first append (which creates the
+/// file) and on a later one: the reopen is before, after, or a typed
+/// error; a failed append is always before; and the next clean append
+/// recovers to after.
+#[test]
+fn every_wal_fault_schedule_leaves_before_after_or_typed_error() {
+    let full_sweep = std::env::var("HCL_FAULT_SWEEP").as_deref() == Ok("full");
+    for first_append in [true, false] {
+        let probe = WalFixture::new("wal_probe");
+        let (a, b) = batches(&probe.graph);
+        let prior: Vec<&[EdgeDelta]> = if first_append { vec![] } else { vec![&a] };
+        let before = probe.fingerprint_after(&prior);
+        let mut with_b = prior.clone();
+        with_b.push(&b);
+        let after = probe.fingerprint_after(&with_b);
+        drop(probe);
+
+        let len = append_len(b.len(), first_append);
+        let cuts: Vec<usize> = if full_sweep {
+            (0..len).collect()
+        } else {
+            vec![0, 1, 15, 16, len / 2, len - 1]
+        };
+        let mut decisions = vec![
+            IoDecision::Fail,
+            IoDecision::CrashBefore,
+            IoDecision::CrashAfter,
+        ];
+        decisions.extend(cuts.into_iter().map(IoDecision::CrashDuring));
+
+        for step in PublishStep::WAL {
+            for &decision in &decisions {
+                let schedule = format!(
+                    "{decision:?}@{} ({} append)",
+                    step.name(),
+                    if first_append { "first" } else { "later" }
+                );
+                let fx = WalFixture::new("wal_sweep");
+                let target = fx.target();
+                let mut wal = Wal::open(&target, fx.checksum()).unwrap();
+                if !first_append {
+                    wal.append(&a).unwrap();
+                }
+                let io = FaultAt { step, decision };
+                let result = wal.append_with(&b, &io);
+                let got = reopen(&target, &before, &after, &schedule);
+                match &result {
+                    Err(StoreError::Publish { step: failed, .. }) => {
+                        assert_eq!(decision, IoDecision::Fail, "{schedule}");
+                        assert_eq!(*failed, step.name(), "{schedule}");
+                        assert_eq!(got, Reopened::Before, "{schedule}: failed append must undo");
+                        assert!(!wal.is_poisoned(), "{schedule}");
+                    }
+                    Err(other) => panic!("{schedule}: unexpected error {other:?}"),
+                    Ok(PublishOutcome::Crashed(at)) => assert_eq!(*at, step, "{schedule}"),
+                    Ok(PublishOutcome::Committed) => {
+                        // Only at a step the append never ran: the undo
+                        // (no failure reached it), or creation when the
+                        // WAL already exists.
+                        let skipped = step == PublishStep::WalRollback
+                            || (step == PublishStep::WalCreate && !first_append);
+                        assert!(skipped, "{schedule}: committed despite the fault");
+                        assert_eq!(got, Reopened::After, "{schedule}");
+                    }
+                }
+                // A crash can never leave a half-applied batch, and never
+                // an unreadable WAL: frames are all-or-nothing.
+                assert_ne!(got, Reopened::TypedError, "{schedule}");
+
+                // Recovery: a writer over what the crash left re-appends
+                // the batch when it did not survive.
+                if got == Reopened::Before {
+                    let mut again = Wal::open(&target, fx.checksum()).unwrap();
+                    again.append(&b).unwrap();
+                    assert_eq!(
+                        reopen(&target, &before, &after, &schedule),
+                        Reopened::After,
+                        "{schedule}: recovery append"
+                    );
+                    let info = *IndexStore::open(&target).unwrap().wal().unwrap();
+                    assert_eq!(info.torn_bytes(), 0, "{schedule}: torn tail truncated");
+                }
+            }
+        }
+    }
+}
+
+/// An append whose `fdatasync` fails is truncated back, so a reopen
+/// equals the generation still being served; when the truncate fails
+/// too, the writer refuses further appends.
+#[test]
+fn failed_wal_sync_truncates_back_or_poisons() {
+    let fx = WalFixture::new("wal_sync_fail");
+    let target = fx.target();
+    let (a, b) = batches(&fx.graph);
+    let served = fx.fingerprint_after(&[&a]);
+    let after = fx.fingerprint_after(&[&a, &b]);
+    let mut wal = Wal::open(&target, fx.checksum()).unwrap();
+    wal.append(&a).unwrap();
+    let len = std::fs::metadata(wal_path(&target)).unwrap().len();
+
+    let err = wal
+        .append_with(
+            &b,
+            &FaultAt {
+                step: PublishStep::WalSync,
+                decision: IoDecision::Fail,
+            },
+        )
+        .unwrap_err();
+    assert!(err.to_string().contains("wal-sync"), "{err}");
+    assert_eq!(std::fs::metadata(wal_path(&target)).unwrap().len(), len);
+    assert_eq!(
+        reopen(&target, &served, &after, "sync-fail"),
+        Reopened::Before
+    );
+
+    // Both the sync and its undo fail: poisoned, and the disk may hold
+    // the frame — a reopen decides.
+    struct SyncAndUndoFail;
+    impl StoreIo for SyncAndUndoFail {
+        fn decide(&self, step: PublishStep) -> IoDecision {
+            match step {
+                PublishStep::WalSync | PublishStep::WalRollback => IoDecision::Fail,
+                _ => IoDecision::Proceed,
+            }
+        }
+    }
+    let err = wal.append_with(&b, &SyncAndUndoFail).unwrap_err();
+    assert!(err.to_string().contains("wal-rollback"), "{err}");
+    assert!(wal.is_poisoned());
+    assert!(wal.append(&b).is_err(), "a poisoned writer refuses appends");
+    assert_ne!(
+        reopen(&target, &served, &after, "poisoned"),
+        Reopened::TypedError
+    );
+}
+
+/// A crash between the checkpoint's publish and the WAL's removal leaves
+/// the old WAL beside the new container: it is stale and ignored, and
+/// the next append resets it.
+#[test]
+fn checkpoint_crash_before_wal_removal_leaves_a_stale_wal() {
+    let fx = WalFixture::new("wal_checkpoint");
+    let target = fx.target();
+    let (a, b) = batches(&fx.graph);
+    let mut wal = Wal::open(&target, fx.checksum()).unwrap();
+    wal.append(&a).unwrap();
+    let old_wal = std::fs::read(wal_path(&target)).unwrap();
+
+    let (graph, index) = fx.state_after(&[&a]);
+    let written = hcl_store::checkpoint(&target, &graph, &index, BuildInfo::default(), 1).unwrap();
+    assert!(!wal_path(&target).exists(), "checkpoint removes the WAL");
+    // The crash: the removal never happened.
+    std::fs::write(wal_path(&target), &old_wal).unwrap();
+
+    let store = IndexStore::open(&target).unwrap();
+    assert_eq!(fingerprint(&store), fx.fingerprint_after(&[&a]));
+    assert!(
+        store.wal().unwrap().stale,
+        "old WAL is bound to the old checksum"
+    );
+    assert_eq!(store.pending_deltas(), 0);
+    assert_eq!(store.journal().unwrap().compactions, 1);
+    assert_eq!(store.meta().checksum, written.checksum);
+    hcl_store::verify_file(&target).expect("a stale WAL is not corruption");
+    drop(store);
+
+    let mut wal = Wal::open(&target, written.checksum).unwrap();
+    assert_eq!(wal.frames(), 0);
+    wal.append(&b).unwrap();
+    let store = IndexStore::open(&target).unwrap();
+    assert_eq!(fingerprint(&store), fx.fingerprint_after(&[&a, &b]));
+    assert!(!store.wal().unwrap().stale);
+}
+
+/// A damaged frame with more frames after it cannot come from a crash:
+/// opens and the scrubber's file check both report it.
+#[test]
+fn corrupt_non_final_wal_frame_is_a_typed_error() {
+    let fx = WalFixture::new("wal_corrupt");
+    let target = fx.target();
+    let (a, b) = batches(&fx.graph);
+    let checksum = fx.checksum();
+    let mut wal = Wal::open(&target, checksum).unwrap();
+    wal.append(&a).unwrap();
+    wal.append(&b).unwrap();
+    let mut bytes = std::fs::read(wal_path(&target)).unwrap();
+    bytes[hcl_store::WAL_HEADER_LEN + hcl_store::WAL_FRAME_HEADER_LEN + 3] ^= 0x40;
+    std::fs::write(wal_path(&target), &bytes).unwrap();
+    assert!(matches!(
+        IndexStore::open(&target),
+        Err(StoreError::Corrupt { .. })
+    ));
+    assert!(matches!(
+        hcl_store::verify_file(&target),
+        Err(StoreError::Corrupt { .. })
+    ));
+    assert!(Wal::open(&target, checksum).is_err());
 }

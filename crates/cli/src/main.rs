@@ -156,7 +156,7 @@ const USAGE: &str = "usage: hcl <command> [args]\n\
            vertex), the top hubs by label frequency, and the recorded\n\
            build counters (BFS visits, vertices left unlabelled because a\n\
            shortest path passes another landmark, per-landmark\n\
-           contributions) when the container carries them (format v5+).\n\
+           contributions) when the container carries them.\n\
      \n\
      `hcl <graph.edges> [query flags]` (no subcommand) behaves like\n\
      `hcl query <graph.edges>`.";
@@ -1184,6 +1184,9 @@ fn cmd_serve(args: Vec<String>) -> Result<(), String> {
     // afterwards queries are answered from the engine's repaired index
     // instead of the original source.
     let mut engine: Option<update::UpdateEngine> = None;
+    // Numbered like the pool's generation handle: 1 at start, one more
+    // per committed update batch (here, per applied delta line).
+    let mut generation = 1u64;
     let mut served = 0u64;
     let t0 = Instant::now();
     for (lineno, line) in stdin.lock().lines().enumerate() {
@@ -1197,6 +1200,7 @@ fn cmd_serve(args: Vec<String>) -> Result<(), String> {
                 index_path.as_deref(),
                 compact_after,
                 &mut engine,
+                &mut generation,
                 &metrics,
             );
             continue;
@@ -1236,7 +1240,7 @@ fn cmd_serve(args: Vec<String>) -> Result<(), String> {
                 latency: elapsed,
                 stats,
                 worker: 0,
-                generation: 1,
+                generation,
             });
         }
         served += 1;
@@ -1273,8 +1277,9 @@ fn cmd_serve(args: Vec<String>) -> Result<(), String> {
 
 /// Applies one `+u v` / `-u v` stdin line in sequential serving:
 /// incremental label repair, then write-back to the `--index` file (if
-/// any). The serve contract for bad lines holds — a stderr diagnostic, a
-/// failure-counter bump, and the session continues on the old state.
+/// any); a committed delta bumps `generation`. The serve contract for bad
+/// lines holds — a stderr diagnostic, a failure-counter bump, and the
+/// session continues on the old state.
 #[allow(clippy::too_many_arguments)]
 fn apply_seq_delta(
     op: hcl_core::DeltaOp,
@@ -1284,6 +1289,7 @@ fn apply_seq_delta(
     index_path: Option<&str>,
     compact_after: usize,
     engine: &mut Option<update::UpdateEngine>,
+    generation: &mut u64,
     metrics: &metrics::ServerMetrics,
 ) {
     let delta = match update::parse_delta_rest(op, rest, "stdin", lineno) {
@@ -1325,12 +1331,14 @@ fn apply_seq_delta(
         }
         Ok(_) => match eng.commit() {
             Ok(report) => {
+                *generation += 1;
                 metrics.updates_applied.inc();
                 if report.compacted {
                     metrics.compactions.inc();
                 }
                 eprintln!(
-                    "update stdin:{lineno}: applied {delta}{}",
+                    "update stdin:{lineno}: applied {delta}; now serving generation \
+                     {generation}{}",
                     report.describe()
                 );
             }
@@ -1459,8 +1467,8 @@ fn cmd_update(args: Vec<String>) -> Result<(), String> {
 // ---------------------------------------------------------------------------
 
 /// The `inspect --stats` appendix: the label-size distribution, the hubs
-/// that dominate the labels, and the build counters recorded in v5+
-/// containers (older containers print a one-line absence note instead).
+/// that dominate the labels, and the build counters the container records
+/// (a one-line absence note when it records none).
 fn write_deep_stats(out: &mut dyn Write, store: &IndexStore) -> std::io::Result<()> {
     let index = store.index();
     let offsets = index.label_offsets();
@@ -1486,8 +1494,7 @@ fn write_deep_stats(out: &mut dyn Write, store: &IndexStore) -> std::io::Result<
 
     let landmarks = index.landmarks();
     let mut freq = vec![0u64; landmarks.len()];
-    for &entry in index.label_entries() {
-        let (rank, _) = hcl_index::unpack_label_entry(entry);
+    for (rank, _) in index.label_entries().iter() {
         if let Some(slot) = freq.get_mut(rank as usize) {
             *slot += 1;
         }
@@ -1541,10 +1548,7 @@ fn write_deep_stats(out: &mut dyn Write, store: &IndexStore) -> std::io::Result<
                 )?;
             }
         }
-        None => writeln!(
-            out,
-            "build stats:   (not recorded; container written before format v5)"
-        )?,
+        None => writeln!(out, "build stats:   (not recorded in this container)")?,
     }
     Ok(())
 }
@@ -1600,12 +1604,14 @@ fn cmd_inspect(args: Vec<String>) -> Result<(), String> {
         writeln!(out, "vertices:      {}", meta.num_vertices)?;
         writeln!(out, "edges:         {}", meta.num_edges)?;
         writeln!(out, "landmarks:     {}", meta.num_landmarks)?;
-        // v2/v3 files predate recorded strategies and load as degree-rank.
         writeln!(out, "strategy:      {}", meta.build.strategy)?;
         writeln!(
             out,
-            "label entries: {} (avg {:.2}/vertex, max {})",
-            meta.label_entries, stats.avg_label_size, stats.max_label_size
+            "label entries: {} × {} B (avg {:.2}/vertex, max {})",
+            meta.label_entries,
+            store.base_index().label_entries().word_bytes(),
+            stats.avg_label_size,
+            stats.max_label_size
         )?;
         if meta.build == hcl_store::BuildInfo::default() {
             writeln!(out, "built with:    (unrecorded)")?;

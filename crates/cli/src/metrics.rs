@@ -290,14 +290,19 @@ impl ServerMetrics {
     }
 
     /// Renders the `GET /metrics` body: Prometheus-style `name value`
-    /// lines — every counter, the in-flight gauge, the current index
-    /// generation, and the latency quantiles (omitted until the first
-    /// sample, like every quantile exporter).
-    pub(crate) fn render(&self, generation: u64) -> String {
+    /// lines — every counter, the in-flight gauge, the serving index
+    /// generation and the size of its labels, and the latency quantiles
+    /// (omitted until the first sample, like every quantile exporter).
+    /// The label gauges are read off `index` (the serving generation's)
+    /// at scrape time, so they follow every reload and publish.
+    pub(crate) fn render(&self, generation: u64, index: hcl_index::IndexView<'_>) -> String {
         use std::fmt::Write as _;
         let mut out = String::with_capacity(768);
         out.push_str("hcl_up 1\n");
         let _ = writeln!(out, "hcl_index_generation {generation}");
+        let entries = index.label_entries();
+        let _ = writeln!(out, "hcl_label_entries {}", entries.len());
+        let _ = writeln!(out, "hcl_label_entry_bytes {}", entries.word_bytes());
         for c in [
             &self.connections,
             &self.requests,
@@ -444,10 +449,19 @@ mod tests {
         m.record_source(AnswerSource::LabelHit);
         m.record_source(AnswerSource::LabelHit);
         m.record_source(AnswerSource::ResidualBfs);
-        let text = m.render(3);
+        let graph = hcl_core::testkit::path(5);
+        let index = hcl_index::HighwayCoverIndex::build(
+            &graph,
+            hcl_index::IndexConfig { num_landmarks: 1 },
+        );
+        let text = m.render(3, index.as_view());
+        let entries = index.stats().total_label_entries;
+        let entries_line = format!("hcl_label_entries {entries}\n");
         for needle in [
             "hcl_up 1\n",
             "hcl_index_generation 3\n",
+            &entries_line,
+            "hcl_label_entry_bytes 4\n",
             "hcl_requests_total 2\n",
             "hcl_answers_total 1\n",
             "hcl_busy_rejected_total 0\n",

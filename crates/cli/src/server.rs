@@ -772,7 +772,8 @@ fn handle_http(
             }
         }
         "/metrics" => {
-            let body = m.render(state.handle.number());
+            let current = state.handle.current();
+            let body = m.render(current.number, current.store.index());
             respond(writer, state, peer, 200, "OK", "text/plain", &body);
         }
         "/query" => handle_http_query(query, writer, ctx, state, peer, worker),

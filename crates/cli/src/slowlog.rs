@@ -22,7 +22,8 @@
 //!
 //! `dist` is `null` for disconnected pairs. `worker` is the serving
 //! thread's index (0 for single-threaded modes); `generation` is the live
-//! index generation (fixed at 1 for stdin modes, which cannot reload).
+//! index generation: 1 at start, one more per reload or committed update
+//! batch, numbered the same in every serving mode.
 
 use crate::sync::lock_recover;
 use hcl_index::QueryStats;

@@ -4,8 +4,8 @@
 //! must parse as the documented flat JSON object, on stderr and via
 //! `--slow-log-file`, sequential and pooled), `--quiet` (suppresses the
 //! latency summary line and nothing else), the skipped-input summary,
-//! and `inspect --stats` (deep stats on v5 containers, graceful absence
-//! note on fabricated v4 ones).
+//! and `inspect --stats` (deep stats when the container records build
+//! stats, a graceful absence note when it does not).
 
 use hcl_core::{testkit, Graph};
 use std::io::Write;
@@ -397,6 +397,75 @@ fn slow_log_stdin_sequential_emits_valid_json_per_line() {
     );
 }
 
+/// Stdin serving numbers generations alike in both modes: 1 at start,
+/// one more per committed `+u v`/`-u v` line, in the slow log and in the
+/// `update stdin:N: applied …` line, at `--workers 1` (sequential) and
+/// `--workers 2` (pooled).
+#[test]
+fn slow_log_generation_counts_update_batches_alike_at_one_and_two_workers() {
+    let scratch = Scratch::new("slowlog_gen");
+    let index = build_index(&scratch, "path", &edge_list(&testkit::path(40)), 3);
+    // Every delta is effective on a path; every query pair is distinct.
+    let input = "0 20\n1 21\n+0 20\n0 21\n+5 30\n5 29\n6 30\n-0 20\n0 22\n";
+    let expected = [
+        (0, 20, 1),
+        (1, 21, 1),
+        (0, 21, 2),
+        (5, 29, 3),
+        (6, 30, 3),
+        (0, 22, 4),
+    ];
+    let field = |line: &str, key: &str| -> u64 {
+        match parse_flat_json(line).into_iter().find(|(k, _)| k == key) {
+            Some((_, Json::Num(n))) => n,
+            other => panic!("{key} missing or not a number in {line}: {other:?}"),
+        }
+    };
+    let mut runs = Vec::new();
+    for workers in ["1", "2"] {
+        // Each run updates (and appends to the WAL of) its own copy.
+        let copy = scratch.path(&format!("live_w{workers}.hcl"));
+        std::fs::copy(&index, &copy).expect("copy index");
+        let out = run_ok(
+            &[
+                "serve",
+                "--index",
+                copy.to_str().unwrap(),
+                "--workers",
+                workers,
+                "--slow-log-us",
+                "0",
+            ],
+            input,
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let mut got: Vec<(u64, u64, u64)> = slow_log_lines(&stderr)
+            .into_iter()
+            .map(|l| (field(l, "u"), field(l, "v"), field(l, "generation")))
+            .collect();
+        got.sort_unstable();
+        let mut want = expected.to_vec();
+        want.sort_unstable();
+        assert_eq!(
+            got, want,
+            "slow-log generations at {workers} worker(s):\n{stderr}"
+        );
+        for (lineno, generation) in [(3, 2), (5, 3), (8, 4)] {
+            let needle = format!("update stdin:{lineno}: applied ");
+            let line = stderr
+                .lines()
+                .find(|l| l.starts_with(&needle))
+                .unwrap_or_else(|| panic!("no {needle:?} line at {workers} worker(s):\n{stderr}"));
+            assert!(
+                line.contains(&format!("; now serving generation {generation}")),
+                "{workers} worker(s): {line}"
+            );
+        }
+        runs.push(got);
+    }
+    assert_eq!(runs[0], runs[1]);
+}
+
 #[test]
 fn slow_log_pooled_and_file_sink() {
     let scratch = Scratch::new("slowlog_pool");
@@ -584,6 +653,7 @@ fn inspect_stats_renders_deep_stats_for_v5_containers() {
         " max=",
         "top hubs:",
         "label entries",
+        " × 4 B ",
         "build stats:",
         "  bfs visits:",
         "  label insertions:",
@@ -611,10 +681,10 @@ fn inspect_stats_renders_deep_stats_for_v5_containers() {
 }
 
 #[test]
-fn inspect_stats_degrades_gracefully_on_v4_containers() {
-    let scratch = Scratch::new("inspect_v4");
-    // Fabricate a v4 container (no build_stats section) via the store
-    // crate's compat writer, exactly what a pre-PR7 binary produced.
+fn inspect_stats_degrades_gracefully_without_build_stats() {
+    let scratch = Scratch::new("inspect_v6");
+    // A v6 container (wide label words) written without a build_stats
+    // section, through the store crate's compat writer.
     let graph = testkit::barabasi_albert(60, 2, 5);
     let index = hcl_index::HighwayCoverIndex::build_with(
         &graph,
@@ -625,20 +695,25 @@ fn inspect_stats_degrades_gracefully_on_v4_containers() {
             selection: None,
         },
     );
-    let bytes = hcl_store::serialize_v4_with(&graph, &index, hcl_store::BuildInfo::default())
-        .expect("serialize v4");
+    let bytes =
+        hcl_store::serialize_v6_with(&graph, &index, hcl_store::BuildInfo::default(), None, None)
+            .expect("serialize v6");
     let path = scratch.path("old.hcl");
-    std::fs::write(&path, &bytes).expect("write v4 container");
+    std::fs::write(&path, &bytes).expect("write v6 container");
 
     let out = run_ok(&["inspect", path.to_str().unwrap(), "--stats"], "");
     let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("HCLSTOR v4"), "not a v4 file?\n{text}");
+    assert!(text.contains("HCLSTOR v6"), "not a v6 file?\n{text}");
+    assert!(
+        text.contains(" × 8 B "),
+        "wide entries not reported:\n{text}"
+    );
     // Histogram and hubs come from the label sections and still render;
     // the build counters honestly report their absence.
     assert!(text.contains("label histogram:"), "{text}");
     assert!(text.contains("top hubs:"), "{text}");
     assert!(
-        text.contains("build stats:   (not recorded; container written before format v5)"),
+        text.contains("build stats:   (not recorded in this container)"),
         "missing absence note in:\n{text}"
     );
 }

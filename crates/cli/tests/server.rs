@@ -620,12 +620,22 @@ fn http_reload_swaps_generations_and_failure_keeps_serving() {
 
     let server = Server::spawn(&live, &[]);
     assert_eq!(server.metric("hcl_index_generation"), 1);
+    let entries = |path: &Path| {
+        hcl_store::IndexStore::open(path)
+            .unwrap()
+            .meta()
+            .label_entries
+    };
+    assert_eq!(server.metric("hcl_label_entries"), entries(&gen_a));
+    assert_eq!(server.metric("hcl_label_entry_bytes"), 4);
 
     swap_in(&gen_b, &live);
     let (status, body) = server.http_get("/reload");
     assert_eq!(status, 200, "reload body: {body}");
     assert!(body.contains("\"generation\":2"), "body: {body}");
     assert_eq!(server.metric("hcl_index_generation"), 2);
+    assert_ne!(entries(&gen_a), entries(&gen_b));
+    assert_eq!(server.metric("hcl_label_entries"), entries(&gen_b));
 
     // Publish a corrupt file (atomically, via rename, so the current
     // generation's mmap keeps its old inode): the reload must fail,

@@ -462,6 +462,13 @@ fn http_update_applies_transactional_batches_and_persists() {
     let (a, b) = non_edge(&graph);
     let live = build_index(&scratch, "live", &edge_list(&graph), 6);
     let server = Server::spawn(&live, &["--workers", "2"]);
+    // The label gauges describe the serving generation's index.
+    let entries = |path: &std::path::Path| {
+        let store = hcl_store::IndexStore::open(path).expect("open live index");
+        store.index().label_entries().len() as u64
+    };
+    assert_eq!(server.metric("hcl_label_entries"), entries(&live));
+    assert_eq!(server.metric("hcl_label_entry_bytes"), 4);
 
     let (status, body) = server.http_get(&format!("/query?s={a}&t={b}"));
     assert_eq!(status, 200, "body: {body}");
@@ -484,6 +491,8 @@ fn http_update_applies_transactional_batches_and_persists() {
     assert!(body.contains("\"dist\":1"), "insert not visible: {body}");
     assert_eq!(server.metric("hcl_updates_applied_total"), 1);
     assert_eq!(server.metric("hcl_index_generation"), 2);
+    // Published with the update: a reopen (base + WAL) agrees.
+    assert_eq!(server.metric("hcl_label_entries"), entries(&live));
 
     // A batch with any bad line is rejected as a unit before any state
     // changes: generation, answers, and the journal stay put.

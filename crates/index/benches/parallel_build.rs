@@ -34,8 +34,9 @@ fn fingerprint(idx: &HighwayCoverIndex) -> u64 {
     for &x in v.label_offsets() {
         mix(x);
     }
-    for &x in v.label_entries() {
-        mix(x);
+    mix(v.label_entries().word_bytes() as u64);
+    for (hub, dist) in v.label_entries().iter() {
+        mix(((hub as u64) << 32) | dist as u64);
     }
     for &x in v.highway() {
         mix(x as u64);

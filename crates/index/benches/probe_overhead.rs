@@ -10,7 +10,9 @@
 //! 1. **Baseline**: a faithful in-binary reimplementation of the pre-PR7
 //!    query engine (packed-entry labels, linear/galloping merge, hoisted
 //!    highway cross product, bitset residual BFS) with no probe parameter
-//!    anywhere, run over the *same* index slices. Both engines answer the
+//!    anywhere, run over the *same* index slices: it is generic over the
+//!    same [`LabelWord`] and matches the entry width once per query, like
+//!    the shipping engine. Both engines answer the
 //!    identical workload in one process, and the answers are cross-checked
 //!    entry for entry, not just checksummed.
 //! 2. **NoProbe**: the shipping `query_with` path. Mean latency must stay
@@ -26,7 +28,7 @@
 
 use hcl_core::{testkit, DenseBitSet, GraphView, VertexId, INFINITY};
 use hcl_index::{
-    unpack_label_entry, HighwayCoverIndex, IndexConfig, IndexView, QueryContext, QueryStats,
+    HighwayCoverIndex, IndexConfig, IndexView, LabelEntries, LabelWord, QueryContext, QueryStats,
 };
 use std::time::Instant;
 
@@ -43,7 +45,7 @@ const GALLOP_RATIO: usize = 8;
 /// bytes — any latency difference is code, not data layout.
 struct BaselineEngine<'a> {
     label_offsets: &'a [u64],
-    label_entries: &'a [u64],
+    label_entries: LabelEntries<'a>,
     highway: &'a [u32],
     landmarks: &'a [VertexId],
     num_vertices: usize,
@@ -60,16 +62,6 @@ struct BaselineContext {
     landmark_bits: DenseBitSet,
     landmark_key: Vec<VertexId>,
     landmark_key_n: usize,
-}
-
-#[inline]
-fn entry_hub(e: u64) -> u32 {
-    unpack_label_entry(e).0
-}
-
-#[inline]
-fn entry_dist(e: u64) -> u32 {
-    unpack_label_entry(e).1
 }
 
 impl<'a> BaselineEngine<'a> {
@@ -100,7 +92,10 @@ impl<'a> BaselineEngine<'a> {
         if u == v {
             return Some(0);
         }
-        let bound = self.label_upper_bound(u, v);
+        let bound = match self.label_entries {
+            LabelEntries::Narrow(words) => self.label_upper_bound(words, u, v),
+            LabelEntries::Wide(words) => self.label_upper_bound(words, u, v),
+        };
         let best = self.residual_bfs(graph, ctx, u, v, bound);
         if best == INF64 {
             None
@@ -109,7 +104,7 @@ impl<'a> BaselineEngine<'a> {
         }
     }
 
-    fn label_upper_bound(&self, u: VertexId, v: VertexId) -> u64 {
+    fn label_upper_bound<W: LabelWord>(&self, words: &[W], u: VertexId, v: VertexId) -> u64 {
         let (u_lo, u_hi) = (
             self.label_offsets[u as usize] as usize,
             self.label_offsets[u as usize + 1] as usize,
@@ -118,8 +113,8 @@ impl<'a> BaselineEngine<'a> {
             self.label_offsets[v as usize] as usize,
             self.label_offsets[v as usize + 1] as usize,
         );
-        let lu = &self.label_entries[u_lo..u_hi];
-        let lv = &self.label_entries[v_lo..v_hi];
+        let lu = &words[u_lo..u_hi];
+        let lv = &words[v_lo..v_hi];
 
         let mut best = common_hub_bound(lu, lv);
         if lu.is_empty() || lv.is_empty() {
@@ -128,13 +123,13 @@ impl<'a> BaselineEngine<'a> {
 
         let min_dv = lv
             .iter()
-            .map(|&e| entry_dist(e))
+            .map(|&e| e.dist())
             .filter(|&d| d != INFINITY)
             .min()
             .map_or(INF64, |d| d as u64);
         let k = self.landmarks.len();
         for &eu in lu {
-            let (h1, d1u) = (entry_hub(eu) as usize, entry_dist(eu));
+            let (h1, d1u) = (eu.hub() as usize, eu.dist());
             if d1u == INFINITY {
                 continue;
             }
@@ -144,7 +139,7 @@ impl<'a> BaselineEngine<'a> {
             }
             let row = &self.highway[h1 * k..(h1 + 1) * k];
             for &ev in lv {
-                let (h2, d2u) = (entry_hub(ev) as usize, entry_dist(ev));
+                let (h2, d2u) = (ev.hub() as usize, ev.dist());
                 if h2 == h1 || d2u == INFINITY {
                     continue;
                 }
@@ -259,7 +254,7 @@ impl<'a> BaselineEngine<'a> {
     }
 }
 
-fn common_hub_bound(lu: &[u64], lv: &[u64]) -> u64 {
+fn common_hub_bound<W: LabelWord>(lu: &[W], lv: &[W]) -> u64 {
     let (small, large) = if lu.len() <= lv.len() {
         (lu, lv)
     } else {
@@ -275,15 +270,15 @@ fn common_hub_bound(lu: &[u64], lv: &[u64]) -> u64 {
     }
 }
 
-fn linear_merge_bound(a: &[u64], b: &[u64]) -> u64 {
+fn linear_merge_bound<W: LabelWord>(a: &[W], b: &[W]) -> u64 {
     let mut best = INF64;
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
-        match entry_hub(a[i]).cmp(&entry_hub(b[j])) {
+        match a[i].hub().cmp(&b[j].hub()) {
             std::cmp::Ordering::Less => i += 1,
             std::cmp::Ordering::Greater => j += 1,
             std::cmp::Ordering::Equal => {
-                let (da, db) = (entry_dist(a[i]), entry_dist(b[j]));
+                let (da, db) = (a[i].dist(), b[j].dist());
                 if da != INFINITY && db != INFINITY {
                     best = best.min(da as u64 + db as u64);
                 }
@@ -295,25 +290,24 @@ fn linear_merge_bound(a: &[u64], b: &[u64]) -> u64 {
     best
 }
 
-fn galloping_merge_bound(small: &[u64], large: &[u64]) -> u64 {
-    const HUB_MASK: u64 = 0xFFFF_FFFF_0000_0000;
+fn galloping_merge_bound<W: LabelWord>(small: &[W], large: &[W]) -> u64 {
     let mut best = INF64;
     let mut from = 0usize;
     for &es in small {
-        let target = es & HUB_MASK;
+        let target = es.hub_bits();
         let mut step = 1usize;
-        while from + step < large.len() && large[from + step] & HUB_MASK < target {
+        while from + step < large.len() && large[from + step].hub_bits() < target {
             step *= 2;
         }
         let lo = from + step / 2;
         let hi = (from + step + 1).min(large.len());
-        let idx = lo + large[lo..hi].partition_point(|&e| e & HUB_MASK < target);
+        let idx = lo + large[lo..hi].partition_point(|&e| e.hub_bits() < target);
         if idx >= large.len() {
             break;
         }
         let el = large[idx];
-        if el & HUB_MASK == target {
-            let (ds, dl) = (entry_dist(es), entry_dist(el));
+        if el.hub_bits() == target {
+            let (ds, dl) = (es.dist(), el.dist());
             if ds != INFINITY && dl != INFINITY {
                 best = best.min(ds as u64 + dl as u64);
             }

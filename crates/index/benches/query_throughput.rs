@@ -7,7 +7,9 @@
 //!    faithful reimplementation of the pre-PR4 query engine (parallel
 //!    hub/dist `u32` arrays, linear-only merge, unguarded highway cross
 //!    product, `landmark_rank` table lookups in the residual BFS) run over
-//!    the same index data, so both engines answer the identical workload
+//!    the same index data — its parallel arrays are unpacked from the
+//!    very [`LabelWord`]s the current engine reads — so both engines
+//!    answer the identical workload
 //!    in the same process — the fairest before/after a single binary can
 //!    produce. Answers are cross-checked, not just timed.
 //! 2. **Worker-sweep throughput** at {1, 2, 4, 8} threads sharing one
@@ -24,7 +26,7 @@
 //! runs (the JSON is then labelled accordingly).
 
 use hcl_core::{testkit, GraphView, VertexId, INFINITY};
-use hcl_index::{HighwayCoverIndex, IndexConfig, IndexView, QueryContext};
+use hcl_index::{HighwayCoverIndex, IndexConfig, IndexView, LabelEntries, LabelWord, QueryContext};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -48,13 +50,17 @@ struct BaselineIndex {
 const NOT_A_LANDMARK: u32 = u32::MAX;
 const INF64: u64 = u64::MAX;
 
+/// Splits packed label words into the baseline's parallel arrays.
+fn unpack<W: LabelWord>(words: &[W]) -> (Vec<u32>, Vec<u32>) {
+    words.iter().map(|w| (w.hub(), w.dist())).unzip()
+}
+
 impl BaselineIndex {
     fn from_view(v: IndexView<'_>) -> Self {
-        let (mut hubs, mut dists) = (Vec::new(), Vec::new());
-        for (h, d) in (0..v.num_vertices() as VertexId).flat_map(|x| v.label(x)) {
-            hubs.push(h);
-            dists.push(d);
-        }
+        let (hubs, dists) = match v.label_entries() {
+            LabelEntries::Narrow(words) => unpack(words),
+            LabelEntries::Wide(words) => unpack(words),
+        };
         Self {
             landmark_rank: v.landmark_rank().to_vec(),
             label_offsets: v.label_offsets().to_vec(),

@@ -26,7 +26,7 @@ pub(crate) mod parallel;
 pub(crate) mod tree;
 
 use crate::select::{self, LandmarkSelector, SelectionStrategy};
-use crate::view::IndexView;
+use crate::view::{IndexView, LabelVec};
 use hcl_core::bfs::BfsScratch;
 use hcl_core::{Graph, VertexId};
 use std::time::Instant;
@@ -254,10 +254,9 @@ pub struct HighwayCoverIndex {
     pub(crate) landmark_rank: Vec<u32>,
     /// CSR offsets into `label_entries`; length `n + 1`.
     pub(crate) label_offsets: Vec<u64>,
-    /// Packed `(hub << 32) | dist` label entries
-    /// ([`pack_label_entry`](crate::pack_label_entry)), hub-ascending
-    /// within each vertex.
-    pub(crate) label_entries: Vec<u64>,
+    /// Packed label words ([`LabelWord`](crate::LabelWord)), narrow or
+    /// wide as the labels allow, hub-ascending within each vertex.
+    pub(crate) label_entries: LabelVec,
     /// Row-major `k × k` exact landmark-to-landmark distances,
     /// [`INFINITY`](hcl_core::INFINITY) when disconnected.
     pub(crate) highway: Vec<u32>,
@@ -448,7 +447,7 @@ impl HighwayCoverIndex {
             landmarks: &self.landmarks,
             landmark_rank: &self.landmark_rank,
             label_offsets: &self.label_offsets,
-            label_entries: &self.label_entries,
+            label_entries: self.label_entries.as_entries(),
             highway: &self.highway,
         }
     }

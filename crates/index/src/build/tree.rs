@@ -9,7 +9,7 @@
 //! DAG, and reads the exact highway row off the same search.
 
 use super::{BuildContext, HighwayCoverIndex, NOT_A_LANDMARK};
-use crate::view::pack_label_entry;
+use crate::view::{fits_narrow, LabelVec, LabelWord};
 use hcl_core::{DynGraphView, VertexId, INFINITY};
 
 /// One landmark's tree: its labelled vertices and its exact highway row.
@@ -119,7 +119,8 @@ pub(crate) fn label_tree(
 
 /// Flattens rank-sorted trees into the frozen index: CSR label arrays
 /// (each vertex's entries come out hub-ascending because trees are laid
-/// down in rank order) and the row-major highway.
+/// down in rank order) and the row-major highway. The entry width follows
+/// from the deepest labelled vertex of any tree.
 pub(crate) fn assemble(
     landmarks: Vec<VertexId>,
     landmark_rank: Vec<u32>,
@@ -135,15 +136,19 @@ pub(crate) fn assemble(
     for v in 0..n {
         label_offsets[v + 1] += label_offsets[v];
     }
-    let mut cursor: Vec<usize> = label_offsets[..n].iter().map(|&o| o as usize).collect();
-    let mut label_entries = vec![0u64; label_offsets[n] as usize];
+    // Trees list their vertices in BFS order, so the last is the deepest.
+    let max_dist = trees
+        .iter()
+        .filter_map(|t| t.labelled.last().map(|&(_, d)| d))
+        .max()
+        .unwrap_or(0);
+    let label_entries = if fits_narrow(trees.len(), max_dist) {
+        LabelVec::Narrow(lay_down(&label_offsets, trees))
+    } else {
+        LabelVec::Wide(lay_down(&label_offsets, trees))
+    };
     let mut highway = Vec::with_capacity(trees.len() * trees.len());
     for tree in trees {
-        for &(v, d) in &tree.labelled {
-            let slot = &mut cursor[v as usize];
-            label_entries[*slot] = pack_label_entry(tree.rank as u32, d);
-            *slot += 1;
-        }
         highway.extend_from_slice(&tree.highway_row);
     }
     HighwayCoverIndex {
@@ -153,4 +158,20 @@ pub(crate) fn assemble(
         label_entries,
         highway,
     }
+}
+
+/// Scatters every tree's `(rank, distance)` entries into the slots the
+/// CSR `label_offsets` reserve, in rank order.
+fn lay_down<W: LabelWord>(label_offsets: &[u64], trees: &[LandmarkTree]) -> Vec<W> {
+    let n = label_offsets.len() - 1;
+    let mut cursor: Vec<usize> = label_offsets[..n].iter().map(|&o| o as usize).collect();
+    let mut entries = vec![W::pack(0, 0); label_offsets[n] as usize];
+    for tree in trees {
+        for &(v, d) in &tree.labelled {
+            let slot = &mut cursor[v as usize];
+            entries[*slot] = W::pack(tree.rank as u32, d);
+            *slot += 1;
+        }
+    }
+    entries
 }

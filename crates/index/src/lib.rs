@@ -34,9 +34,11 @@
 //!
 //! * [`HighwayCoverIndex`] — owned `Vec`s, produced by a build;
 //! * [`IndexView`] — five borrowed slices over the identical flat layout
-//!   (label entries are packed `(hub << 32) | dist` words — see
-//!   [`pack_label_entry`]), which is what `hcl-store` serves straight out
-//!   of a memory-mapped file. Untrusted slices are admitted through
+//!   (label entries are one packed [`LabelWord`] each: narrow
+//!   `(hub << 16) | dist` words when the labels fit, wide
+//!   `(hub << 32) | dist` words otherwise — see [`LabelEntries`]), which
+//!   is what `hcl-store` serves straight out of a memory-mapped file.
+//!   Untrusted slices are admitted through
 //!   [`IndexView::from_parts`], which validates every invariant the engine
 //!   indexes by.
 //!
@@ -66,4 +68,4 @@ pub use probe::{AnswerSource, MergeKind, Probe, QueryStats};
 pub use query::QueryContext;
 pub use repair::{DynamicIndex, RepairOutcome};
 pub use select::{ApproxCoverage, DegreeRank, LandmarkSelector, SeededRandom, SelectionStrategy};
-pub use view::{pack_label_entry, unpack_label_entry, IndexDataError, IndexView};
+pub use view::{IndexDataError, IndexView, LabelEntries, LabelWord};

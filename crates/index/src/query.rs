@@ -9,12 +9,16 @@
 //!
 //! # Hot-path layout
 //!
-//! Labels are packed `(hub << 32) | dist` words walked as **one** array
-//! stream per endpoint (no parallel hub/dist pointers). The common-hub
-//! join switches from a linear merge to a **galloping merge** when the two
-//! labels are badly skewed — on power-law graphs a hub vertex can carry a
-//! label orders of magnitude longer than a leaf's, and galloping makes the
-//! join `O(small · log large)` instead of `O(small + large)`. The highway
+//! Labels are packed `(hub, dist)` words walked as **one** array stream
+//! per endpoint (no parallel hub/dist pointers). The label half of the
+//! engine is generic over the word type ([`LabelWord`]): narrow `u32` and
+//! wide `u64` indexes run two monomorphisations of the same code, picked
+//! by one match per query, and every sum runs in `u64` either way. The
+//! common-hub join switches from a linear merge to a **galloping merge**
+//! when the two labels are badly skewed — on power-law graphs a hub
+//! vertex can carry a label orders of magnitude longer than a leaf's, and
+//! galloping makes the join `O(small · log large)` instead of
+//! `O(small + large)`. The highway
 //! cross-product runs behind hoisted lower-bound checks (`d1 + min_dv`,
 //! `d1 + d2`) so rows that cannot beat the current best never touch the
 //! matrix, and the residual BFS tests landmark membership against a dense
@@ -31,7 +35,7 @@
 
 use crate::build::HighwayCoverIndex;
 use crate::probe::Probe;
-use crate::view::{entry_dist, entry_hub, IndexView};
+use crate::view::{IndexView, LabelEntries, LabelWord};
 use hcl_core::{DenseBitSet, Graph, GraphView, NoProbe, VertexId, INFINITY};
 
 const INF64: u64 = u64::MAX;
@@ -214,7 +218,10 @@ impl<'a> IndexView<'a> {
             return Some(0);
         }
 
-        let bound = self.label_upper_bound(u, v, probe);
+        let bound = match self.label_entries {
+            LabelEntries::Narrow(words) => self.label_upper_bound(words, u, v, probe),
+            LabelEntries::Wide(words) => self.label_upper_bound(words, u, v, probe),
+        };
         let best = self.residual_bfs(graph, ctx, u, v, bound, probe);
         probe.query_done(false, bound, best);
         if best == INF64 {
@@ -228,7 +235,13 @@ impl<'a> IndexView<'a> {
     ///
     /// Exact whenever some shortest `u`–`v` path passes through a landmark;
     /// `u64::MAX` when the labels certify nothing.
-    fn label_upper_bound<P: Probe>(&self, u: VertexId, v: VertexId, probe: &mut P) -> u64 {
+    fn label_upper_bound<W: LabelWord, P: Probe>(
+        &self,
+        words: &[W],
+        u: VertexId,
+        v: VertexId,
+        probe: &mut P,
+    ) -> u64 {
         let (u_lo, u_hi) = (
             self.label_offsets[u as usize] as usize,
             self.label_offsets[u as usize + 1] as usize,
@@ -237,8 +250,8 @@ impl<'a> IndexView<'a> {
             self.label_offsets[v as usize] as usize,
             self.label_offsets[v as usize + 1] as usize,
         );
-        let lu = &self.label_entries[u_lo..u_hi];
-        let lv = &self.label_entries[v_lo..v_hi];
+        let lu = &words[u_lo..u_hi];
+        let lv = &words[v_lo..v_hi];
 
         // All sums below run in u64 so `u32`-sized operands cannot wrap,
         // and INFINITY-valued operands are skipped outright: a label or
@@ -261,13 +274,13 @@ impl<'a> IndexView<'a> {
         // single matrix load.
         let min_dv = lv
             .iter()
-            .map(|&e| entry_dist(e))
+            .map(|&e| e.dist())
             .filter(|&d| d != INFINITY)
             .min()
             .map_or(INF64, |d| d as u64);
         let k = self.landmarks.len();
         for &eu in lu {
-            let (h1, d1u) = (entry_hub(eu) as usize, entry_dist(eu));
+            let (h1, d1u) = (eu.hub() as usize, eu.dist());
             if d1u == INFINITY {
                 continue;
             }
@@ -277,7 +290,7 @@ impl<'a> IndexView<'a> {
             }
             let row = &self.highway[h1 * k..(h1 + 1) * k];
             for &ev in lv {
-                let (h2, d2u) = (entry_hub(ev) as usize, entry_dist(ev));
+                let (h2, d2u) = (ev.hub() as usize, ev.dist());
                 if h2 == h1 || d2u == INFINITY {
                     continue; // same hub was handled by the merge above
                 }
@@ -400,7 +413,7 @@ impl<'a> IndexView<'a> {
 /// Chooses between a linear two-pointer merge and a galloping merge by the
 /// size ratio: on skewed pairs (leaf label vs. hub label) galloping turns
 /// the join from `O(small + large)` into `O(small · log large)`.
-fn common_hub_bound<P: Probe>(lu: &[u64], lv: &[u64], probe: &mut P) -> u64 {
+fn common_hub_bound<W: LabelWord, P: Probe>(lu: &[W], lv: &[W], probe: &mut P) -> u64 {
     let (small, large) = if lu.len() <= lv.len() {
         (lu, lv)
     } else {
@@ -417,16 +430,16 @@ fn common_hub_bound<P: Probe>(lu: &[u64], lv: &[u64], probe: &mut P) -> u64 {
     }
 }
 
-fn linear_merge_bound<P: Probe>(a: &[u64], b: &[u64], probe: &mut P) -> u64 {
+fn linear_merge_bound<W: LabelWord, P: Probe>(a: &[W], b: &[W], probe: &mut P) -> u64 {
     let mut best = INF64;
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
-        let (ha, hb) = (entry_hub(a[i]), entry_hub(b[j]));
+        let (ha, hb) = (a[i].hub(), b[j].hub());
         match ha.cmp(&hb) {
             std::cmp::Ordering::Less => i += 1,
             std::cmp::Ordering::Greater => j += 1,
             std::cmp::Ordering::Equal => {
-                let (da, db) = (entry_dist(a[i]), entry_dist(b[j]));
+                let (da, db) = (a[i].dist(), b[j].dist());
                 if da != INFINITY && db != INFINITY {
                     best = best.min(da as u64 + db as u64);
                 }
@@ -444,10 +457,9 @@ fn linear_merge_bound<P: Probe>(a: &[u64], b: &[u64], probe: &mut P) -> u64 {
 
 /// Merge for skewed sizes: for each entry of `small`, gallop (exponential
 /// then binary search) through the remaining suffix of `large`. Entries
-/// are hub-sorted, and hubs occupy the high 32 bits, so hub comparisons
-/// are plain `u64` comparisons on `entry & HUB_MASK`.
-fn galloping_merge_bound<P: Probe>(small: &[u64], large: &[u64], probe: &mut P) -> u64 {
-    const HUB_MASK: u64 = 0xFFFF_FFFF_0000_0000;
+/// are hub-sorted, and hubs occupy the high half-word, so hub comparisons
+/// are plain integer comparisons on [`LabelWord::hub_bits`].
+fn galloping_merge_bound<W: LabelWord, P: Probe>(small: &[W], large: &[W], probe: &mut P) -> u64 {
     let mut best = INF64;
     let mut from = 0usize;
     // `used` counts small-side entries processed; together with `from`
@@ -456,23 +468,23 @@ fn galloping_merge_bound<P: Probe>(small: &[u64], large: &[u64], probe: &mut P) 
     let mut used = 0usize;
     for &es in small {
         used += 1;
-        let target = es & HUB_MASK;
+        let target = es.hub_bits();
         // Exponential probe: find a window [from + step/2, from + step]
         // whose upper end is at or past the target hub.
         let mut step = 1usize;
-        while from + step < large.len() && large[from + step] & HUB_MASK < target {
+        while from + step < large.len() && large[from + step].hub_bits() < target {
             step *= 2;
         }
         let lo = from + step / 2;
         let hi = (from + step + 1).min(large.len());
         // Binary search the window for the first entry at or past target.
-        let idx = lo + large[lo..hi].partition_point(|&e| e & HUB_MASK < target);
+        let idx = lo + large[lo..hi].partition_point(|&e| e.hub_bits() < target);
         if idx >= large.len() {
             break; // every remaining hub of `large` is smaller — done
         }
         let el = large[idx];
-        if el & HUB_MASK == target {
-            let (ds, dl) = (entry_dist(es), entry_dist(el));
+        if el.hub_bits() == target {
+            let (ds, dl) = (es.dist(), el.dist());
             if ds != INFINITY && dl != INFINITY {
                 best = best.min(ds as u64 + dl as u64);
             }
@@ -491,30 +503,28 @@ fn galloping_merge_bound<P: Probe>(small: &[u64], large: &[u64], probe: &mut P) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::view::pack_label_entry;
 
-    fn entries(pairs: &[(u32, u32)]) -> Vec<u64> {
-        pairs.iter().map(|&(h, d)| pack_label_entry(h, d)).collect()
+    fn entries<W: LabelWord>(pairs: &[(u32, u32)]) -> Vec<W> {
+        pairs.iter().map(|&(h, d)| W::pack(h, d)).collect()
     }
 
     /// Reference implementation: brute-force minimum over common hubs.
-    fn brute(a: &[u64], b: &[u64]) -> u64 {
+    fn brute<W: LabelWord>(a: &[W], b: &[W]) -> u64 {
         let mut best = INF64;
         for &ea in a {
             for &eb in b {
-                if entry_hub(ea) == entry_hub(eb)
-                    && entry_dist(ea) != INFINITY
-                    && entry_dist(eb) != INFINITY
-                {
-                    best = best.min(entry_dist(ea) as u64 + entry_dist(eb) as u64);
+                if ea.hub() == eb.hub() && ea.dist() != INFINITY && eb.dist() != INFINITY {
+                    best = best.min(ea.dist() as u64 + eb.dist() as u64);
                 }
             }
         }
         best
     }
 
-    #[test]
-    fn merges_agree_with_brute_force_on_generated_labels() {
+    /// Both merges against brute force at one word width; `sentinel` is
+    /// the distance sprinkled in as "unreachable" (only wide words can
+    /// hold `INFINITY`).
+    fn merges_agree<W: LabelWord>(sentinel: u32) {
         let mut rng = hcl_core::testkit::SplitMix64::new(0xFACE);
         for trial in 0..200 {
             // Random strictly-ascending hub sets of very different sizes,
@@ -524,13 +534,13 @@ mod tests {
                     (0..len).map(|_| rng.next_below(hub_space) as u32).collect();
                 hubs.sort_unstable();
                 hubs.dedup();
-                entries(
+                entries::<W>(
                     &hubs
                         .into_iter()
                         .map(|h| {
                             let d = rng.next_below(50) as u32;
                             // Sprinkle sentinel distances in, too.
-                            (h, if d == 49 { INFINITY } else { d })
+                            (h, if d == 49 { sentinel } else { d })
                         })
                         .collect::<Vec<_>>(),
                 )
@@ -561,21 +571,32 @@ mod tests {
     }
 
     #[test]
-    fn gallop_handles_boundary_shapes() {
+    fn merges_agree_with_brute_force_on_generated_labels() {
+        merges_agree::<u64>(INFINITY);
+        merges_agree::<u32>(0xFFFF);
+    }
+
+    fn gallop_boundaries<W: LabelWord>() {
         let p = &mut NoProbe;
-        let empty: &[u64] = &[];
-        let one = entries(&[(5, 2)]);
-        let many = entries(&[(0, 1), (2, 9), (5, 3), (9, 0), (31, 7)]);
+        let empty: &[W] = &[];
+        let one = entries::<W>(&[(5, 2)]);
+        let many = entries::<W>(&[(0, 1), (2, 9), (5, 3), (9, 0), (31, 7)]);
         assert_eq!(common_hub_bound(empty, &many, p), INF64);
         assert_eq!(common_hub_bound(&one, empty, p), INF64);
         assert_eq!(galloping_merge_bound(&one, &many, p), 5);
         // Target hub past the end of `large`.
-        let high = entries(&[(40, 1)]);
+        let high = entries::<W>(&[(40, 1)]);
         assert_eq!(galloping_merge_bound(&high, &many, p), INF64);
         // Target hub before the start of `large`.
-        let low = entries(&[(0, 4)]);
-        let tail = entries(&[(7, 1), (8, 2)]);
+        let low = entries::<W>(&[(0, 4)]);
+        let tail = entries::<W>(&[(7, 1), (8, 2)]);
         assert_eq!(galloping_merge_bound(&low, &tail, p), INF64);
+    }
+
+    #[test]
+    fn gallop_handles_boundary_shapes() {
+        gallop_boundaries::<u64>();
+        gallop_boundaries::<u32>();
     }
 
     #[test]

@@ -43,7 +43,7 @@
 
 use crate::build::tree::label_tree;
 use crate::build::{sat_add, BuildContext, HighwayCoverIndex, NOT_A_LANDMARK};
-use crate::view::IndexView;
+use crate::view::{IndexView, LabelVec};
 use hcl_core::{DeltaError, DeltaGraph, DeltaOp, EdgeDelta, VertexId, INFINITY};
 
 /// What one [`DynamicIndex::apply_and_repair`] call did, for logging,
@@ -113,19 +113,24 @@ impl DynamicIndex {
         self.labels.iter().map(Vec::len).sum()
     }
 
-    /// Flattens back into the frozen, query-servable form.
+    /// Flattens back into the frozen, query-servable form, in the entry
+    /// width a fresh build of the same labels would pick.
     pub fn to_index(&self) -> HighwayCoverIndex {
         let n = self.labels.len();
         let mut label_offsets = Vec::with_capacity(n.saturating_add(1));
         label_offsets.push(0u64);
-        let total = self.num_label_entries();
-        let mut label_entries = Vec::with_capacity(total);
+        let (mut total, mut max_dist) = (0u64, 0u32);
         for per_vertex in &self.labels {
-            for &(hub, d) in per_vertex {
-                label_entries.push(crate::view::pack_label_entry(hub, d));
-            }
-            label_offsets.push(label_entries.len() as u64);
+            total += per_vertex.len() as u64;
+            label_offsets.push(total);
+            max_dist = per_vertex.iter().fold(max_dist, |m, &(_, d)| m.max(d));
         }
+        let label_entries = LabelVec::pack(
+            self.landmarks.len(),
+            max_dist,
+            total as usize,
+            self.labels.iter().flatten().copied(),
+        );
         HighwayCoverIndex {
             landmarks: self.landmarks.clone(),
             landmark_rank: self.landmark_rank.clone(),

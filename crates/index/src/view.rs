@@ -8,12 +8,18 @@
 //! * `hcl-store`'s memory-mapped files, whose validated byte ranges are
 //!   reinterpreted as the same five slices without copying.
 //!
-//! Each label entry is one **packed `u64`** — hub rank in the high 32 bits,
-//! distance in the low 32 ([`pack_label_entry`] / [`unpack_label_entry`]).
-//! The query hot path walks one cache-line-friendly array per vertex
+//! Each label entry is **one word** — hub rank in the high half, distance
+//! in the low half ([`LabelWord`]). An index whose landmark count is at
+//! most 65,536 and whose largest label distance is at most 65,535 stores
+//! narrow `u32` words (`(hub << 16) | dist`); any other index stores wide
+//! `u64` words (`(hub << 32) | dist`). The width is a pure function of the
+//! labels, picked where they are laid down, so it never depends on how an
+//! index was built. [`LabelEntries`] carries the two cases; the query
+//! engine is generic over the word type and matches the variant once per
+//! query. The hot path walks one cache-line-friendly array per vertex
 //! instead of two parallel pointer streams, and because hubs occupy the
 //! high bits, per-vertex entries sorted by hub are also sorted as plain
-//! `u64`s — which is what the galloping merge in `query.rs` relies on.
+//! integers — which is what the galloping merge in `query.rs` relies on.
 //!
 //! Untrusted data enters through [`IndexView::from_parts`], which checks
 //! every structural invariant the query engine relies on, so hot paths can
@@ -23,31 +29,156 @@ use crate::build::{HighwayCoverIndex, IndexStats, NOT_A_LANDMARK};
 use hcl_core::VertexId;
 use std::fmt;
 
-/// Packs a `(hub rank, distance)` label pair into one `u64`: hub in the
-/// high 32 bits, distance in the low 32. Hub-sorted entry sequences are
-/// therefore also `u64`-sorted.
-#[inline]
-pub const fn pack_label_entry(hub: u32, dist: u32) -> u64 {
-    ((hub as u64) << 32) | dist as u64
+/// One packed `(hub rank, distance)` label entry: the hub in the high half
+/// of the word, the distance in the low half. Hub-sorted entry sequences
+/// are therefore also sorted as plain integers, and masking with
+/// [`HUB_MASK`](LabelWord::HUB_MASK) compares hubs without unpacking.
+///
+/// Implemented by `u32` (narrow: 16-bit hub, 16-bit distance) and `u64`
+/// (wide: 32-bit hub, 32-bit distance).
+pub trait LabelWord: Copy + Ord + fmt::Debug + Send + Sync + 'static {
+    /// The hub bits of a word.
+    const HUB_MASK: Self;
+    /// Packs `(hub, dist)`; both must fit the half-word (checked in debug
+    /// builds).
+    fn pack(hub: u32, dist: u32) -> Self;
+    /// The hub rank (the high half).
+    fn hub(self) -> u32;
+    /// The distance (the low half).
+    fn dist(self) -> u32;
+    /// The word with its distance bits cleared: words compare by hub.
+    fn hub_bits(self) -> Self;
 }
 
-/// Unpacks a label entry into `(hub rank, distance)`; inverse of
-/// [`pack_label_entry`].
-#[inline]
-pub const fn unpack_label_entry(entry: u64) -> (u32, u32) {
-    ((entry >> 32) as u32, entry as u32)
+macro_rules! label_word {
+    ($word:ty, $half:expr) => {
+        impl LabelWord for $word {
+            const HUB_MASK: Self = <$word>::MAX << $half;
+
+            #[inline]
+            fn pack(hub: u32, dist: u32) -> Self {
+                debug_assert!(
+                    (hub as u64) < (1u64 << $half) && (dist as u64) < (1u64 << $half),
+                    "({hub}, {dist}) does not fit a {}-bit label word",
+                    <$word>::BITS
+                );
+                ((hub as $word) << $half) | dist as $word
+            }
+
+            #[inline]
+            fn hub(self) -> u32 {
+                (self >> $half) as u32
+            }
+
+            #[inline]
+            fn dist(self) -> u32 {
+                (self & !Self::HUB_MASK) as u32
+            }
+
+            #[inline]
+            fn hub_bits(self) -> Self {
+                self & Self::HUB_MASK
+            }
+        }
+    };
+}
+label_word!(u32, 16);
+label_word!(u64, 32);
+
+/// Whether labels over `k` landmarks whose largest distance is `max_dist`
+/// fit narrow `u32` words — the one rule that picks an index's entry width.
+pub(crate) fn fits_narrow(k: usize, max_dist: u32) -> bool {
+    k <= 1 << 16 && max_dist <= u32::from(u16::MAX)
 }
 
-/// The hub rank of a packed label entry (its high 32 bits).
-#[inline]
-pub(crate) const fn entry_hub(entry: u64) -> u32 {
-    (entry >> 32) as u32
+/// The flat label entries of an index: narrow `u32` or wide `u64` words
+/// (see the module docs for which one an index uses).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LabelEntries<'a> {
+    /// `(hub << 16) | dist` words.
+    Narrow(&'a [u32]),
+    /// `(hub << 32) | dist` words.
+    Wide(&'a [u64]),
 }
 
-/// The distance of a packed label entry (its low 32 bits).
-#[inline]
-pub(crate) const fn entry_dist(entry: u64) -> u32 {
-    entry as u32
+impl<'a> LabelEntries<'a> {
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        match self {
+            Self::Narrow(w) => w.len(),
+            Self::Wide(w) => w.len(),
+        }
+    }
+
+    /// Whether there are no entries.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Bytes per entry: 4 (narrow) or 8 (wide).
+    pub fn word_bytes(&self) -> usize {
+        match self {
+            Self::Narrow(_) => 4,
+            Self::Wide(_) => 8,
+        }
+    }
+
+    /// Entry `i` as `(hub rank, distance)`.
+    ///
+    /// # Panics
+    /// Panics if `i` is out of range.
+    pub fn get(&self, i: usize) -> (u32, u32) {
+        match self {
+            Self::Narrow(w) => (w[i].hub(), w[i].dist()),
+            Self::Wide(w) => (w[i].hub(), w[i].dist()),
+        }
+    }
+
+    /// Every entry as `(hub rank, distance)`, in storage order.
+    pub fn iter(self) -> impl Iterator<Item = (u32, u32)> + 'a {
+        self.range(0, self.len())
+    }
+
+    /// Entries `lo..hi` as `(hub rank, distance)`.
+    fn range(self, lo: usize, hi: usize) -> impl Iterator<Item = (u32, u32)> + 'a {
+        (lo..hi).map(move |i| self.get(i))
+    }
+}
+
+/// Owned label entries, in the width the labels call for.
+pub(crate) enum LabelVec {
+    Narrow(Vec<u32>),
+    Wide(Vec<u64>),
+}
+
+impl LabelVec {
+    /// Packs `total` hub-sorted `(hub, dist)` pairs over `k` landmarks
+    /// into the width [`fits_narrow`] picks for their largest distance
+    /// `max_dist`.
+    pub(crate) fn pack(
+        k: usize,
+        max_dist: u32,
+        total: usize,
+        pairs: impl Iterator<Item = (u32, u32)>,
+    ) -> Self {
+        fn collect<W: LabelWord>(total: usize, pairs: impl Iterator<Item = (u32, u32)>) -> Vec<W> {
+            let mut words = Vec::with_capacity(total);
+            words.extend(pairs.map(|(h, d)| W::pack(h, d)));
+            words
+        }
+        if fits_narrow(k, max_dist) {
+            Self::Narrow(collect(total, pairs))
+        } else {
+            Self::Wide(collect(total, pairs))
+        }
+    }
+
+    pub(crate) fn as_entries(&self) -> LabelEntries<'_> {
+        match self {
+            Self::Narrow(w) => LabelEntries::Narrow(w),
+            Self::Wide(w) => LabelEntries::Wide(w),
+        }
+    }
 }
 
 /// Validation failure for raw index arrays ([`IndexView::from_parts`]).
@@ -202,9 +333,9 @@ pub struct IndexView<'a> {
     pub(crate) landmark_rank: &'a [u32],
     /// CSR offsets into `label_entries`; length `n + 1`.
     pub(crate) label_offsets: &'a [u64],
-    /// Packed `(hub << 32) | dist` label entries, hub-ascending (hence
-    /// `u64`-ascending) within each vertex.
-    pub(crate) label_entries: &'a [u64],
+    /// Packed label words, hub-ascending (hence integer-ascending) within
+    /// each vertex.
+    pub(crate) label_entries: LabelEntries<'a>,
     /// Row-major `k × k` exact landmark-to-landmark distances.
     pub(crate) highway: &'a [u32],
 }
@@ -215,16 +346,17 @@ impl<'a> IndexView<'a> {
     /// Checks every structural invariant the query engine indexes by:
     /// label offsets monotone and spanning the entry array, entry hubs
     /// strictly ascending and `< k`, `landmarks`/`landmark_rank` mutually
-    /// inverse, highway `k × k` with zero diagonal and symmetric. `O(n +
-    /// entries + k²)` — run once per load. Semantic correctness of the
-    /// *distances* is not (cannot cheaply be) verified here; a
+    /// inverse, highway `k × k` with zero diagonal and symmetric. Both
+    /// entry widths get the same checks and the same typed errors.
+    /// `O(n + entries + k²)` — run once per load. Semantic correctness of
+    /// the *distances* is not (cannot cheaply be) verified here; a
     /// tampered-but-well-formed file yields wrong answers, never panics or
     /// UB.
     pub fn from_parts(
         landmarks: &'a [VertexId],
         landmark_rank: &'a [u32],
         label_offsets: &'a [u64],
-        label_entries: &'a [u64],
+        label_entries: LabelEntries<'a>,
         highway: &'a [u32],
     ) -> Result<Self, IndexDataError> {
         let view = Self::from_parts_unchecked(
@@ -248,7 +380,7 @@ impl<'a> IndexView<'a> {
         landmarks: &'a [VertexId],
         landmark_rank: &'a [u32],
         label_offsets: &'a [u64],
-        label_entries: &'a [u64],
+        label_entries: LabelEntries<'a>,
         highway: &'a [u32],
     ) -> Self {
         Self {
@@ -315,25 +447,9 @@ impl<'a> IndexView<'a> {
                 });
             }
         }
-        // Labels: hubs strictly ascending and in range. Because hubs sit in
-        // the high 32 bits, strict hub ascent is exactly strict `u64`
-        // ascent of the packed entries.
-        for v in 0..n {
-            let lo = self.label_offsets[v] as usize;
-            let hi = self.label_offsets[v + 1] as usize;
-            let mut last: Option<u32> = None;
-            for &entry in &self.label_entries[lo..hi] {
-                let hub = entry_hub(entry);
-                if hub as usize >= k {
-                    return Err(IndexDataError::HubOutOfRange { vertex: v, hub });
-                }
-                if let Some(l) = last {
-                    if hub <= l {
-                        return Err(IndexDataError::UnsortedHubs { vertex: v });
-                    }
-                }
-                last = Some(hub);
-            }
+        match self.label_entries {
+            LabelEntries::Narrow(words) => validate_labels(self.label_offsets, words, k)?,
+            LabelEntries::Wide(words) => validate_labels(self.label_offsets, words, k)?,
         }
         // Highway: zero diagonal, symmetric.
         for a in 0..k {
@@ -363,9 +479,7 @@ impl<'a> IndexView<'a> {
     pub fn label(&self, v: VertexId) -> impl Iterator<Item = (u32, u32)> + 'a {
         let lo = self.label_offsets[v as usize] as usize;
         let hi = self.label_offsets[v as usize + 1] as usize;
-        self.label_entries[lo..hi]
-            .iter()
-            .map(|&e| unpack_label_entry(e))
+        self.label_entries.range(lo, hi)
     }
 
     /// Whether vertex `v` is a landmark.
@@ -388,8 +502,8 @@ impl<'a> IndexView<'a> {
         self.label_offsets
     }
 
-    /// Flat packed `(hub << 32) | dist` label entries (for serialisation).
-    pub fn label_entries(&self) -> &'a [u64] {
+    /// Flat packed label words, narrow or wide (for serialisation).
+    pub fn label_entries(&self) -> LabelEntries<'a> {
         self.label_entries
     }
 
@@ -398,13 +512,22 @@ impl<'a> IndexView<'a> {
         self.highway
     }
 
-    /// Copies the view into an owned [`HighwayCoverIndex`].
+    /// Copies the view into an owned [`HighwayCoverIndex`], in the entry
+    /// width its labels call for (a wide view whose labels fit narrow
+    /// words comes out narrow).
     pub fn to_owned_index(&self) -> HighwayCoverIndex {
+        let entries = self.label_entries;
+        let max_dist = entries.iter().map(|(_, d)| d).max().unwrap_or(0);
         HighwayCoverIndex {
             landmarks: self.landmarks.to_vec(),
             landmark_rank: self.landmark_rank.to_vec(),
             label_offsets: self.label_offsets.to_vec(),
-            label_entries: self.label_entries.to_vec(),
+            label_entries: LabelVec::pack(
+                self.landmarks.len(),
+                max_dist,
+                entries.len(),
+                entries.iter(),
+            ),
             highway: self.highway.to_vec(),
         }
     }
@@ -420,7 +543,7 @@ impl<'a> IndexView<'a> {
         let bytes = std::mem::size_of_val(self.landmarks)
             + std::mem::size_of_val(self.landmark_rank)
             + std::mem::size_of_val(self.label_offsets)
-            + std::mem::size_of_val(self.label_entries)
+            + total * self.label_entries.word_bytes()
             + std::mem::size_of_val(self.highway);
         IndexStats {
             num_landmarks: self.landmarks.len(),
@@ -430,6 +553,30 @@ impl<'a> IndexView<'a> {
             bytes,
         }
     }
+}
+
+/// Label checks shared by both widths: every hub `< k` and strictly
+/// ascending within each vertex. Because hubs sit in the high half-word,
+/// strict hub ascent is exactly strict ascent of the packed words.
+fn validate_labels<W: LabelWord>(
+    offsets: &[u64],
+    words: &[W],
+    k: usize,
+) -> Result<(), IndexDataError> {
+    for (v, span) in offsets.windows(2).enumerate() {
+        let mut last: Option<u32> = None;
+        for &word in &words[span[0] as usize..span[1] as usize] {
+            let hub = word.hub();
+            if hub as usize >= k {
+                return Err(IndexDataError::HubOutOfRange { vertex: v, hub });
+            }
+            if last.is_some_and(|l| hub <= l) {
+                return Err(IndexDataError::UnsortedHubs { vertex: v });
+            }
+            last = Some(hub);
+        }
+    }
+    Ok(())
 }
 
 impl<'a> From<&'a HighwayCoverIndex> for IndexView<'a> {
@@ -445,20 +592,32 @@ mod tests {
     use hcl_core::testkit;
 
     /// Packs parallel hub/dist arrays — the shape tests are written in.
-    fn pack(hubs: &[u32], dists: &[u32]) -> Vec<u64> {
+    fn pack<W: LabelWord>(hubs: &[u32], dists: &[u32]) -> Vec<W> {
         hubs.iter()
             .zip(dists)
-            .map(|(&h, &d)| pack_label_entry(h, d))
+            .map(|(&h, &d)| W::pack(h, d))
             .collect()
     }
 
     #[test]
     fn pack_unpack_roundtrips_and_orders_by_hub() {
         for (h, d) in [(0u32, 0u32), (1, u32::MAX), (u32::MAX, 7), (3, 3)] {
-            assert_eq!(unpack_label_entry(pack_label_entry(h, d)), (h, d));
+            let w = u64::pack(h, d);
+            assert_eq!((w.hub(), w.dist()), (h, d));
+            assert_eq!(w.hub_bits(), u64::pack(h, 0));
+        }
+        for (h, d) in [(0u32, 0u32), (1, 0xFFFF), (0xFFFF, 7), (3, 3)] {
+            let w = u32::pack(h, d);
+            assert_eq!((w.hub(), w.dist()), (h, d));
+            assert_eq!(w.hub_bits(), u32::pack(h, 0));
         }
         // Hub dominates the packed ordering regardless of distances.
-        assert!(pack_label_entry(1, u32::MAX) < pack_label_entry(2, 0));
+        assert!(u64::pack(1, u32::MAX) < u64::pack(2, 0));
+        assert!(u32::pack(1, 0xFFFF) < u32::pack(2, 0));
+        // The width rule: both the hub and the distance must fit 16 bits.
+        assert!(fits_narrow(1 << 16, 0xFFFF));
+        assert!(!fits_narrow((1 << 16) + 1, 0));
+        assert!(!fits_narrow(1, 0x1_0000));
     }
 
     #[test]
@@ -467,6 +626,7 @@ mod tests {
             let g = testkit::erdos_renyi(50, 0.08, 9);
             let idx = HighwayCoverIndex::build(&g, IndexConfig { num_landmarks: k });
             let v = idx.as_view();
+            assert!(matches!(v.label_entries(), LabelEntries::Narrow(_)));
             let revalidated = IndexView::from_parts(
                 v.landmarks(),
                 v.landmark_rank(),
@@ -492,62 +652,98 @@ mod tests {
             );
         }
         assert_eq!(idx.stats().bytes, copy.stats().bytes);
+
+        // A wide view of narrow-sized labels comes out narrow, with the
+        // same labels.
+        let v = idx.as_view();
+        let wide: Vec<u64> = v
+            .label_entries()
+            .iter()
+            .map(|(h, d)| u64::pack(h, d))
+            .collect();
+        let wide_view = IndexView::from_parts(
+            v.landmarks(),
+            v.landmark_rank(),
+            v.label_offsets(),
+            LabelEntries::Wide(&wide),
+            v.highway(),
+        )
+        .expect("wide copy validates");
+        assert_eq!(wide_view.stats().bytes, idx.stats().bytes + 4 * wide.len());
+        let narrowed = wide_view.to_owned_index();
+        assert_eq!(narrowed.as_view().label_entries(), v.label_entries());
     }
 
     #[test]
     fn from_parts_rejects_malformed_arrays() {
-        // Minimal 2-vertex, 1-landmark shape.
+        // Minimal 2-vertex, 1-landmark shape, checked at both widths.
         let landmarks: &[u32] = &[0];
         let rank: &[u32] = &[0, NOT_A_LANDMARK];
         let offsets: &[u64] = &[0, 1, 2];
-        let entries = pack(&[0, 0], &[0, 1]);
         let highway: &[u32] = &[0];
-        assert!(IndexView::from_parts(landmarks, rank, offsets, &entries, highway).is_ok());
-
-        assert!(matches!(
-            IndexView::from_parts(landmarks, rank, &[0, 1], &entries, highway).unwrap_err(),
-            IndexDataError::OffsetsLength { .. }
-        ));
-        assert!(matches!(
-            IndexView::from_parts(landmarks, rank, &[0, 2, 1], &entries, highway).unwrap_err(),
-            IndexDataError::NonMonotoneOffsets { .. }
-        ));
-        assert!(matches!(
-            IndexView::from_parts(landmarks, rank, &[0, 1, 3], &entries, highway).unwrap_err(),
-            IndexDataError::EntriesLengthMismatch { .. }
-        ));
-        let bad_hub = pack(&[5, 0], &[0, 1]);
-        assert!(matches!(
-            IndexView::from_parts(landmarks, rank, offsets, &bad_hub, highway).unwrap_err(),
-            IndexDataError::HubOutOfRange { hub: 5, .. }
-        ));
-        assert!(matches!(
-            IndexView::from_parts(landmarks, rank, offsets, &entries, &[0, 0]).unwrap_err(),
-            IndexDataError::HighwayShape { .. }
-        ));
-        assert!(matches!(
-            IndexView::from_parts(&[9], rank, offsets, &entries, highway).unwrap_err(),
-            IndexDataError::LandmarkOutOfRange { vertex: 9, .. }
-        ));
-        assert!(matches!(
-            IndexView::from_parts(landmarks, &[0, 0], offsets, &entries, highway).unwrap_err(),
-            IndexDataError::RankTableMismatch { .. }
-        ));
-        assert!(matches!(
-            IndexView::from_parts(landmarks, rank, offsets, &entries, &[3]).unwrap_err(),
-            IndexDataError::HighwayDiagonal { .. }
-        ));
+        let (narrow, wide) = (pack::<u32>(&[0, 0], &[0, 1]), pack::<u64>(&[0, 0], &[0, 1]));
+        let bad_hub = (pack::<u32>(&[5, 0], &[0, 1]), pack::<u64>(&[5, 0], &[0, 1]));
         // Duplicate hub within one vertex label.
-        let dup = pack(&[0, 0], &[0, 1]);
-        assert!(matches!(
-            IndexView::from_parts(&[0, 1], &[0, 1], &[0, 2, 2], &dup, &[0, 1, 1, 0]).unwrap_err(),
-            IndexDataError::UnsortedHubs { vertex: 0 }
-        ));
-        // Asymmetric highway on the same 2-landmark shape.
-        let one = pack(&[0], &[0]);
-        assert!(matches!(
-            IndexView::from_parts(&[0, 1], &[0, 1], &[0, 1, 1], &one, &[0, 1, 2, 0]).unwrap_err(),
-            IndexDataError::HighwayAsymmetric { .. }
-        ));
+        let dup = (pack::<u32>(&[0, 0], &[0, 1]), pack::<u64>(&[0, 0], &[0, 1]));
+        let one = (pack::<u32>(&[0], &[0]), pack::<u64>(&[0], &[0]));
+        for (entries, bad_hub, dup, one) in [
+            (
+                LabelEntries::Narrow(&narrow),
+                LabelEntries::Narrow(&bad_hub.0),
+                LabelEntries::Narrow(&dup.0),
+                LabelEntries::Narrow(&one.0),
+            ),
+            (
+                LabelEntries::Wide(&wide),
+                LabelEntries::Wide(&bad_hub.1),
+                LabelEntries::Wide(&dup.1),
+                LabelEntries::Wide(&one.1),
+            ),
+        ] {
+            assert!(IndexView::from_parts(landmarks, rank, offsets, entries, highway).is_ok());
+            assert!(matches!(
+                IndexView::from_parts(landmarks, rank, &[0, 1], entries, highway).unwrap_err(),
+                IndexDataError::OffsetsLength { .. }
+            ));
+            assert!(matches!(
+                IndexView::from_parts(landmarks, rank, &[0, 2, 1], entries, highway).unwrap_err(),
+                IndexDataError::NonMonotoneOffsets { .. }
+            ));
+            assert!(matches!(
+                IndexView::from_parts(landmarks, rank, &[0, 1, 3], entries, highway).unwrap_err(),
+                IndexDataError::EntriesLengthMismatch { .. }
+            ));
+            assert!(matches!(
+                IndexView::from_parts(landmarks, rank, offsets, bad_hub, highway).unwrap_err(),
+                IndexDataError::HubOutOfRange { hub: 5, .. }
+            ));
+            assert!(matches!(
+                IndexView::from_parts(landmarks, rank, offsets, entries, &[0, 0]).unwrap_err(),
+                IndexDataError::HighwayShape { .. }
+            ));
+            assert!(matches!(
+                IndexView::from_parts(&[9], rank, offsets, entries, highway).unwrap_err(),
+                IndexDataError::LandmarkOutOfRange { vertex: 9, .. }
+            ));
+            assert!(matches!(
+                IndexView::from_parts(landmarks, &[0, 0], offsets, entries, highway).unwrap_err(),
+                IndexDataError::RankTableMismatch { .. }
+            ));
+            assert!(matches!(
+                IndexView::from_parts(landmarks, rank, offsets, entries, &[3]).unwrap_err(),
+                IndexDataError::HighwayDiagonal { .. }
+            ));
+            assert!(matches!(
+                IndexView::from_parts(&[0, 1], &[0, 1], &[0, 2, 2], dup, &[0, 1, 1, 0])
+                    .unwrap_err(),
+                IndexDataError::UnsortedHubs { vertex: 0 }
+            ));
+            // Asymmetric highway on the same 2-landmark shape.
+            assert!(matches!(
+                IndexView::from_parts(&[0, 1], &[0, 1], &[0, 1, 1], one, &[0, 1, 2, 0])
+                    .unwrap_err(),
+                IndexDataError::HighwayAsymmetric { .. }
+            ));
+        }
     }
 }

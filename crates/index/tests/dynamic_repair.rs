@@ -159,3 +159,57 @@ fn deltas_never_mutate_the_base_graph() {
         assert_eq!(base.neighbors(v), &before[v as usize][..]);
     }
 }
+
+/// Repair keeps the entry width a pure function of the labels: on a
+/// cycle of 100,000 vertices with one landmark the farthest label is
+/// 50,000 hops out (narrow words), and deleting an edge at the landmark
+/// pushes its neighbour 99,999 hops away, so the repaired index must turn
+/// wide — and still equal a fresh rebuild byte for byte.
+#[test]
+#[cfg_attr(miri, ignore)]
+fn deep_repair_turns_the_index_wide_like_a_rebuild() {
+    const N: u32 = 100_000;
+    let base = hcl_core::testkit::cycle(N as usize);
+    let options = BuildOptions {
+        num_landmarks: 1,
+        threads: 1,
+        ..Default::default()
+    };
+    let fixed = Fixed(vec![0]);
+    let built = HighwayCoverIndex::build_in_with_selector(&base, &options, &mut [], &fixed);
+    assert_eq!(built.as_view().label_entries().word_bytes(), 4);
+    assert_eq!(built.label(N / 2).collect::<Vec<_>>(), vec![(0, N / 2)]);
+
+    let mut dynamic = DynamicIndex::from_view(built.as_view());
+    let mut graph = DeltaGraph::new(base.as_view());
+    let outcome = dynamic
+        .apply_and_repair(
+            &mut graph,
+            EdgeDelta::delete(0, 1),
+            &mut BuildContext::new(),
+        )
+        .expect("delete applies");
+    assert_eq!(outcome.affected_landmarks, 1);
+
+    let edited = graph.to_graph();
+    let repaired = dynamic.to_index();
+    let rebuilt = HighwayCoverIndex::build_in_with_selector(&edited, &options, &mut [], &fixed);
+    let (rep, reb) = (repaired.as_view(), rebuilt.as_view());
+    assert_eq!(
+        rep.label_entries().word_bytes(),
+        8,
+        "repaired index is wide"
+    );
+    assert_eq!(rep.label_offsets(), reb.label_offsets(), "offsets");
+    assert_eq!(rep.label_entries(), reb.label_entries(), "entries");
+    assert_eq!(rep.highway(), reb.highway(), "highway");
+    assert_eq!(repaired.label(1).collect::<Vec<_>>(), vec![(0, N - 1)]);
+    let mut cx = QueryContext::new();
+    for (u, v) in [(0, 1), (1, 0), (1, 2), (50_000, 1), (N - 1, 1)] {
+        assert_eq!(
+            rep.query_with(&edited, &mut cx, u, v),
+            bfs::distance(&edited, u, v),
+            "({u}, {v})"
+        );
+    }
+}

@@ -35,8 +35,8 @@
 //! (or the operator vouches for), [`IndexStore::open_trusted`] skips
 //! exactly that pass while keeping every header, geometry, and semantic
 //! check — making serving fan-out nearly free. See [`format`](self) docs in
-//! `format.rs` for the byte layout, including the v3 packed label-entry
-//! section and the v2 compatibility path.
+//! `format.rs` for the byte layout, including the narrow and wide
+//! label-entry sections.
 //!
 //! Platforms without the mmap fast path (or callers preferring a private
 //! copy) get the same API via [`IndexStore::open_preloaded`] /
@@ -58,10 +58,9 @@ mod wal;
 pub use checksum::crc64;
 pub use error::StoreError;
 pub use format::{
-    header_len, rewrite_checksum, serialize, serialize_v2_with, serialize_v3_with,
-    serialize_v4_with, serialize_v5_with, serialize_with, serialize_with_journal,
+    rewrite_checksum, serialize, serialize_v6_with, serialize_with, serialize_with_journal,
     serialize_with_stats, BuildInfo, SectionInfo, StoreMeta, StoredBuildStats, StoredJournal,
-    FORMAT_VERSION, HEADER_LEN, LEGACY_HEADER_LEN, MAGIC, OLDEST_READABLE_VERSION,
+    FORMAT_VERSION, HEADER_LEN, MAGIC, OLDEST_READABLE_VERSION,
 };
 pub use generation::{Generation, GenerationHandle};
 pub use wal::{wal_path, Wal, WalInfo, WAL_FRAME_HEADER_LEN, WAL_HEADER_LEN};
@@ -73,7 +72,7 @@ use backing::{cast_u32s, cast_u64s, AlignedBuf, Backing};
 use format::{LabelRanges, Layout};
 use hcl_core::{DeltaGraph, EdgeDelta, Graph, GraphView, VertexId};
 use hcl_index::repair::DynamicIndex;
-use hcl_index::{pack_label_entry, BuildContext, HighwayCoverIndex, IndexView};
+use hcl_index::{BuildContext, HighwayCoverIndex, IndexView, LabelEntries};
 use std::fs::File;
 use std::path::Path;
 use std::sync::Arc;
@@ -214,15 +213,16 @@ pub struct CompactReport {
 /// with the compaction counter bumped.
 ///
 /// A crash mid-compaction leaves the old container and its WAL intact. A
-/// file with nothing pending is rewritten only when it predates v6,
-/// upgrading it in place; otherwise it is left untouched.
+/// file with nothing pending is rewritten only when it predates the
+/// current format version, upgrading it in place; otherwise it is left
+/// untouched.
 pub fn compact_file(path: impl AsRef<Path>) -> Result<CompactReport, StoreError> {
     let path = path.as_ref();
     let store = IndexStore::open(path)?;
     let meta = store.meta();
     let pending = store.pending_deltas();
     let compactions = store.journal().map_or(0, |j| j.compactions);
-    if pending == 0 && meta.version >= 6 {
+    if pending == 0 && meta.version >= FORMAT_VERSION {
         let len = store.len_bytes();
         return Ok(CompactReport {
             deltas_folded: 0,
@@ -262,10 +262,6 @@ enum OpenMode {
 /// arithmetic over the backing bytes. The store must outlive the views it
 /// hands out, which the borrow checker enforces.
 ///
-/// Version-2 files (split hub/distance label sections) are served through
-/// a converting open: the label entries are packed into an owned array
-/// once at load, while every other section still serves zero-copy.
-///
 /// The validated base is shared: [`with_live`](IndexStore::with_live)
 /// makes another store over the same bytes that serves owned live parts,
 /// which is how a live update publishes a generation without writing or
@@ -287,11 +283,8 @@ pub struct IndexStore {
 struct Base {
     backing: Backing,
     layout: Layout,
-    /// Owned packed label entries for v2 files (`None` for v3+, which
-    /// serve them straight from the backing).
-    converted_entries: Option<Vec<u64>>,
-    /// The decoded delta journal of a v6 file (`None` when the file has
-    /// no journal section).
+    /// The decoded delta journal (`None` when the file has no journal
+    /// section).
     journal: Option<StoredJournal>,
 }
 
@@ -475,9 +468,8 @@ impl IndexStore {
     }
 
     /// The *current* index: the replayed (incrementally repaired) or live
-    /// state when there is one, otherwise the base sections (zero-copy
-    /// for v3+ files; label entries come from the converted array for v2
-    /// files).
+    /// state when there is one, otherwise the base sections zero-copy
+    /// from the backing.
     pub fn index(&self) -> IndexView<'_> {
         match &self.replayed {
             Some(state) => state.index.as_view(),
@@ -498,8 +490,8 @@ impl IndexStore {
         self.base.index()
     }
 
-    /// The decoded delta journal of a v6 container, or `None` for files
-    /// that predate the journal section or were written without one.
+    /// The decoded delta journal, or `None` for files written without a
+    /// journal section.
     pub fn journal(&self) -> Option<&StoredJournal> {
         self.base.journal.as_ref()
     }
@@ -534,16 +526,15 @@ impl IndexStore {
     }
 
     /// Per-section name/offset/size information for inspection tooling
-    /// (7 sections for v3/v4 files, 8 for v2, 7 or 8 for v5).
+    /// (7 core sections, plus the optional build-stats and journal).
     pub fn sections(&self) -> Vec<SectionInfo> {
         self.base.layout.sections()
     }
 
     /// The build counters recorded in the container's optional
-    /// `build_stats` section (v5+), or `None` when the file predates the
-    /// section, was written without one, or carries a stats layout this
-    /// reader does not understand — deep-inspection tooling degrades
-    /// gracefully on legacy containers.
+    /// `build_stats` section, or `None` when the file was written without
+    /// one or carries a stats layout this reader does not understand —
+    /// deep-inspection tooling degrades gracefully.
     pub fn build_stats(&self) -> Option<StoredBuildStats> {
         let range = self.base.layout.build_stats.clone()?;
         let words = cast_u64s(&self.base.backing.bytes()[range]);
@@ -597,36 +588,18 @@ impl Base {
         {
             let layout = format::parse_and_validate(backing.bytes(), mode == OpenMode::Validated)?;
 
-            // v2 files carry labels as two parallel u32 sections; pack them
-            // once into the layout the query engine consumes. v3 serves
-            // them in place.
-            let bytes = backing.bytes();
-            let converted_entries = match &layout.labels {
-                LabelRanges::Packed { .. } => None,
-                LabelRanges::Split { hubs, dists } => {
-                    let hubs = cast_u32s(&bytes[hubs.clone()]);
-                    let dists = cast_u32s(&bytes[dists.clone()]);
-                    Some(
-                        hubs.iter()
-                            .zip(dists)
-                            .map(|(&h, &d)| pack_label_entry(h, d))
-                            .collect::<Vec<u64>>(),
-                    )
-                }
-            };
-
             // Semantic validation, once: afterwards the accessors can use
             // the unchecked view constructors.
+            let bytes = backing.bytes();
             let graph = GraphView::from_csr(
                 cast_u64s(&bytes[layout.graph_offsets.clone()]),
                 cast_u32s(&bytes[layout.graph_neighbors.clone()]),
             )?;
-            let entries = packed_entries(&layout.labels, &converted_entries, bytes);
             let index = IndexView::from_parts(
                 cast_u32s(&bytes[layout.landmarks.clone()]),
                 cast_u32s(&bytes[layout.landmark_rank.clone()]),
                 cast_u64s(&bytes[layout.label_offsets.clone()]),
-                entries,
+                label_entries(&layout.labels, bytes),
                 cast_u32s(&bytes[layout.highway.clone()]),
             )?;
             if graph.num_vertices() != index.num_vertices() {
@@ -636,8 +609,8 @@ impl Base {
                 });
             }
 
-            // v6: an undecodable journal is a hard error, like an
-            // unappliable delta at replay.
+            // An undecodable journal is a hard error, like an unappliable
+            // delta at replay.
             let journal =
                 match &layout.journal {
                     None => None,
@@ -653,7 +626,6 @@ impl Base {
             Ok(Self {
                 backing,
                 layout,
-                converted_entries,
                 journal,
             })
         }
@@ -669,12 +641,11 @@ impl Base {
 
     fn index(&self) -> IndexView<'_> {
         let bytes = self.backing.bytes();
-        let entries = packed_entries(&self.layout.labels, &self.converted_entries, bytes);
         IndexView::from_parts_unchecked(
             cast_u32s(&bytes[self.layout.landmarks.clone()]),
             cast_u32s(&bytes[self.layout.landmark_rank.clone()]),
             cast_u64s(&bytes[self.layout.label_offsets.clone()]),
-            entries,
+            label_entries(&self.layout.labels, bytes),
             cast_u32s(&bytes[self.layout.highway.clone()]),
         )
     }
@@ -704,18 +675,12 @@ pub fn verify_file(path: impl AsRef<Path>) -> Result<StoreMeta, StoreError> {
     Ok(meta)
 }
 
-/// Resolves the packed label-entry slice for a layout: straight from the
-/// backing for v3, from the conversion buffer for v2 — the single source
-/// of truth shared by open-time validation and the served view.
-fn packed_entries<'a>(
-    labels: &LabelRanges,
-    converted: &'a Option<Vec<u64>>,
-    bytes: &'a [u8],
-) -> &'a [u64] {
-    match (labels, converted) {
-        (LabelRanges::Packed { entries }, _) => cast_u64s(&bytes[entries.clone()]),
-        (LabelRanges::Split { .. }, Some(packed)) => packed,
-        (LabelRanges::Split { .. }, None) => unreachable!("split labels always convert at open"),
+/// The label-entry words of a layout, narrow or wide, straight from the
+/// backing — shared by open-time validation and the served view.
+fn label_entries<'a>(labels: &LabelRanges, bytes: &'a [u8]) -> LabelEntries<'a> {
+    match labels {
+        LabelRanges::Narrow(r) => LabelEntries::Narrow(cast_u32s(&bytes[r.clone()])),
+        LabelRanges::Wide(r) => LabelEntries::Wide(cast_u64s(&bytes[r.clone()])),
     }
 }
 

@@ -3,12 +3,43 @@
 
 use hcl_core::{testkit, CsrError};
 use hcl_index::{HighwayCoverIndex, IndexConfig};
-use hcl_store::{IndexStore, StoreError, HEADER_LEN};
+use hcl_store::{IndexStore, SectionInfo, StoreError, HEADER_LEN};
 
 fn sample_bytes() -> Vec<u8> {
     let g = testkit::barabasi_albert(80, 3, 4);
     let idx = HighwayCoverIndex::build(&g, IndexConfig { num_landmarks: 6 });
     hcl_store::serialize(&g, &idx).expect("serialize")
+}
+
+/// The section called `name` in a loadable container.
+fn section(bytes: &[u8], name: &str) -> SectionInfo {
+    IndexStore::from_bytes(bytes)
+        .expect("clean loads")
+        .sections()
+        .into_iter()
+        .find(|s| s.name == name)
+        .unwrap_or_else(|| panic!("section {name} present"))
+}
+
+/// Byte offset of section-table entry `i` (kind, elem size, offset, len).
+fn table_entry(i: usize) -> usize {
+    HEADER_LEN + i * 24
+}
+
+/// Index of the section-table entry holding kind `kind`.
+fn table_index(bytes: &[u8], kind: u32) -> usize {
+    let count = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+    (0..count)
+        .find(|&i| {
+            let at = table_entry(i);
+            u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) == kind
+        })
+        .unwrap_or_else(|| panic!("kind {kind} in the section table"))
+}
+
+fn corrupt_after_checksum_fix(mut bytes: Vec<u8>) -> StoreError {
+    hcl_store::rewrite_checksum(&mut bytes);
+    IndexStore::from_bytes(&bytes).expect_err("tampered container must not load")
 }
 
 #[test]
@@ -57,6 +88,115 @@ fn wrong_version_is_detected() {
         IndexStore::from_bytes(&bytes).unwrap_err(),
         StoreError::UnsupportedVersion { found: 99, .. }
     ));
+}
+
+/// The version just below the oldest readable one (v5, whose reader was
+/// removed) and the one just above the current one are typed errors
+/// naming the readable range, checksum intact or not.
+#[test]
+fn v5_and_v8_headers_are_unsupported_versions() {
+    for version in [5u32, 8] {
+        let mut bytes = sample_bytes();
+        bytes[8..12].copy_from_slice(&version.to_le_bytes());
+        for bytes in [bytes.clone(), {
+            hcl_store::rewrite_checksum(&mut bytes);
+            bytes
+        }] {
+            match IndexStore::from_bytes(&bytes).unwrap_err() {
+                StoreError::UnsupportedVersion {
+                    found,
+                    oldest_supported,
+                    supported,
+                } => {
+                    assert_eq!(found, version);
+                    assert_eq!(oldest_supported, hcl_store::OLDEST_READABLE_VERSION);
+                    assert_eq!(supported, hcl_store::FORMAT_VERSION);
+                    assert_eq!((oldest_supported, supported), (6, 7));
+                }
+                other => panic!("v{version}: expected UnsupportedVersion, got {other:?}"),
+            }
+        }
+    }
+}
+
+/// The label-entry sections: a v7 file holds exactly one of kind 9 (wide)
+/// and kind 12 (narrow), each with its own element size, and narrow words
+/// get the same semantic checks as wide ones.
+#[test]
+fn label_entry_sections_are_checked() {
+    let g = testkit::barabasi_albert(80, 3, 4);
+    let idx = HighwayCoverIndex::build(&g, IndexConfig { num_landmarks: 6 });
+    let info = hcl_store::BuildInfo::default();
+    let stats = hcl_store::StoredBuildStats {
+        bfs_visits: 1,
+        label_insertions: 1,
+        dominated: 0,
+        landmark_labels: vec![0; 6],
+    };
+    let clean = hcl_store::serialize_with_stats(&g, &idx, info, &stats).expect("serialize");
+    assert!(IndexStore::from_bytes(&clean).is_ok());
+    let narrow = table_index(&clean, 12);
+    let corrupt = |what: &str, err: StoreError| match err {
+        StoreError::Corrupt { what: msg } => assert!(msg.contains(what), "{what}: {msg}"),
+        other => panic!("{what}: expected Corrupt, got {other:?}"),
+    };
+
+    // Kind 12 declaring 8-byte elements.
+    let mut bytes = clean.clone();
+    let at = table_entry(narrow) + 4;
+    bytes[at..at + 4].copy_from_slice(&8u32.to_le_bytes());
+    corrupt("element size 8", corrupt_after_checksum_fix(bytes));
+
+    // Both kinds: relabel the (u64) build-stats section as kind 9.
+    let mut bytes = clean.clone();
+    let at = table_entry(table_index(&clean, 10));
+    bytes[at..at + 4].copy_from_slice(&9u32.to_le_bytes());
+    corrupt("exactly one", corrupt_after_checksum_fix(bytes));
+
+    // Neither: relabel kind 12 as a (u64) journal section, its length
+    // rounded down to whole 8-byte elements.
+    let mut bytes = clean.clone();
+    let at = table_entry(narrow);
+    bytes[at..at + 4].copy_from_slice(&11u32.to_le_bytes());
+    bytes[at + 4..at + 8].copy_from_slice(&8u32.to_le_bytes());
+    let len = u64::from_le_bytes(bytes[at + 16..at + 24].try_into().unwrap());
+    bytes[at + 16..at + 24].copy_from_slice(&(len / 8 * 8).to_le_bytes());
+    corrupt(
+        "missing section label_entries",
+        corrupt_after_checksum_fix(bytes),
+    );
+
+    // A narrow word whose hub is >= k (the hub is the high u16).
+    let entries = section(&clean, "label_entries32");
+    let mut bytes = clean.clone();
+    let at = entries.offset as usize + 2;
+    bytes[at..at + 2].copy_from_slice(&250u16.to_le_bytes());
+    assert!(matches!(
+        corrupt_after_checksum_fix(bytes),
+        StoreError::InvalidIndex(hcl_index::IndexDataError::HubOutOfRange { hub: 250, .. })
+    ));
+
+    // Two narrow words of one vertex swapped: hubs out of order.
+    let store = IndexStore::from_bytes(&clean).unwrap();
+    let offsets = store.index().label_offsets();
+    let (v, lo) = offsets
+        .windows(2)
+        .enumerate()
+        .find(|(_, w)| w[1] - w[0] >= 2)
+        .map(|(v, w)| (v, w[0] as usize))
+        .expect("some vertex holds two entries");
+    drop(store);
+    let mut bytes = clean.clone();
+    let at = entries.offset as usize + 4 * lo;
+    let (first, second) = (bytes[at..at + 4].to_vec(), bytes[at + 4..at + 8].to_vec());
+    bytes[at..at + 4].copy_from_slice(&second);
+    bytes[at + 4..at + 8].copy_from_slice(&first);
+    match corrupt_after_checksum_fix(bytes) {
+        StoreError::InvalidIndex(hcl_index::IndexDataError::UnsortedHubs { vertex }) => {
+            assert_eq!(vertex, v)
+        }
+        other => panic!("expected UnsortedHubs, got {other:?}"),
+    }
 }
 
 #[test]
@@ -176,9 +316,12 @@ fn semantically_invalid_graph_arrays_are_rejected() {
 
 #[test]
 fn semantically_invalid_index_arrays_are_rejected() {
+    // Wide (v6) words here; `label_entry_sections_are_checked` covers the
+    // narrow ones.
     let g = testkit::star(8);
     let idx = HighwayCoverIndex::build(&g, IndexConfig { num_landmarks: 3 });
-    let clean = hcl_store::serialize(&g, &idx).expect("serialize");
+    let clean = hcl_store::serialize_v6_with(&g, &idx, hcl_store::BuildInfo::default(), None, None)
+        .expect("serialize");
     let store = IndexStore::from_bytes(&clean).expect("clean loads");
     let entries = store
         .sections()
@@ -208,16 +351,10 @@ fn trusted_mode_skips_exactly_the_checksum() {
     let clean = sample_bytes();
     assert!(IndexStore::from_bytes_trusted(&clean).is_ok());
 
-    // Flip a bit inside a label *distance* (low half of a packed entry):
-    // structurally valid, so the validated path must catch it via the CRC
-    // and the trusted path — by design — must not.
-    let store = IndexStore::from_bytes(&clean).expect("clean loads");
-    let entries = store
-        .sections()
-        .into_iter()
-        .find(|s| s.name == "label_entries")
-        .expect("section present");
-    drop(store);
+    // Flip a bit inside a label *distance* (low half of a packed narrow
+    // entry): structurally valid, so the validated path must catch it via
+    // the CRC and the trusted path — by design — must not.
+    let entries = section(&clean, "label_entries32");
     let mut bytes = clean.clone();
     bytes[entries.offset as usize] ^= 0x01;
     assert!(matches!(
@@ -253,8 +390,8 @@ fn trusted_mode_skips_exactly_the_checksum() {
     ));
     // Semantic: out-of-range hub rank in the first packed entry.
     let mut bad_hub = clean.clone();
-    let at = entries.offset as usize + 4;
-    bad_hub[at..at + 4].copy_from_slice(&250u32.to_le_bytes());
+    let at = entries.offset as usize + 2;
+    bad_hub[at..at + 2].copy_from_slice(&250u16.to_le_bytes());
     hcl_store::rewrite_checksum(&mut bad_hub);
     assert!(matches!(
         IndexStore::from_bytes_trusted(&bad_hub).unwrap_err(),

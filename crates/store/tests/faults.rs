@@ -388,7 +388,13 @@ fn save_is_durable_and_leaves_no_temps() {
 // ---------------------------------------------------------------------------
 
 /// Everything a store serves, flattened for equality checks.
-type Fingerprint = (Vec<u64>, Vec<u32>, Vec<u64>, Vec<u64>, Vec<u32>);
+type Fingerprint = (
+    Vec<u64>,
+    Vec<u32>,
+    Vec<u64>,
+    (usize, Vec<(u32, u32)>),
+    Vec<u32>,
+);
 
 fn fingerprint(store: &IndexStore) -> Fingerprint {
     let (g, ix) = (store.graph(), store.index());
@@ -396,7 +402,10 @@ fn fingerprint(store: &IndexStore) -> Fingerprint {
         g.csr_offsets().to_vec(),
         g.csr_neighbors().to_vec(),
         ix.label_offsets().to_vec(),
-        ix.label_entries().to_vec(),
+        (
+            ix.label_entries().word_bytes(),
+            ix.label_entries().iter().collect(),
+        ),
         ix.highway().to_vec(),
     )
 }

@@ -1,11 +1,11 @@
-//! v6 journal behaviour: replay-on-open answer identity, compaction,
-//! graceful degradation on legacy versions, and journal corruption.
+//! Journal-section behaviour: replay-on-open answer identity, compaction,
+//! v6 containers, and journal corruption.
 
 use hcl_core::{bfs, testkit, DeltaGraph, EdgeDelta, Graph};
 use hcl_index::{BuildOptions, HighwayCoverIndex, QueryContext};
 use hcl_store::{
-    compact_file, serialize, serialize_v2_with, serialize_v3_with, serialize_v4_with,
-    serialize_v5_with, serialize_with_journal, BuildInfo, IndexStore, StoreError, StoredJournal,
+    compact_file, serialize, serialize_v6_with, serialize_with_journal, BuildInfo, IndexStore,
+    StoreError, StoredJournal, FORMAT_VERSION,
 };
 
 fn build(graph: &Graph, k: usize) -> HighwayCoverIndex {
@@ -54,7 +54,7 @@ fn journalled_open_replays_to_current_answers() {
     let bytes = serialize_with_journal(&base, &index, BuildInfo::default(), &journal).unwrap();
     let store = IndexStore::from_bytes(&bytes).unwrap();
 
-    assert_eq!(store.meta().version, 6);
+    assert_eq!(store.meta().version, FORMAT_VERSION);
     assert_eq!(store.journal().unwrap().deltas, deltas);
     assert!(store.journal_bytes() > 0);
     // Base sections still carry the pre-edit graph; current views don't.
@@ -101,31 +101,44 @@ fn plain_serialize_has_no_journal_section() {
     let base = testkit::path(6);
     let index = build(&base, 2);
     let store = IndexStore::from_bytes(&serialize(&base, &index).unwrap()).unwrap();
-    assert_eq!(store.meta().version, 6);
+    assert_eq!(store.meta().version, FORMAT_VERSION);
     assert!(store.journal().is_none());
     assert_eq!(store.journal_bytes(), 0);
 }
 
+/// A v6 container written without a journal section opens with none,
+/// and one written with a journal replays it like a v7 container.
 #[test]
 fn legacy_versions_open_without_journal() {
     let base = testkit::erdos_renyi(40, 0.15, 3);
     let index = build(&base, 4);
     let build_info = BuildInfo::default();
-    let legacy: [(&str, Vec<u8>); 4] = [
-        ("v2", serialize_v2_with(&base, &index, build_info).unwrap()),
-        ("v3", serialize_v3_with(&base, &index, build_info).unwrap()),
-        ("v4", serialize_v4_with(&base, &index, build_info).unwrap()),
-        (
-            "v5",
-            serialize_v5_with(&base, &index, build_info, None).unwrap(),
-        ),
-    ];
-    for (name, bytes) in legacy {
-        let store = IndexStore::from_bytes(&bytes)
-            .unwrap_or_else(|e| panic!("{name} container failed to open: {e}"));
-        assert!(store.journal().is_none(), "{name} should carry no journal");
-        assert_eq!(store.journal_bytes(), 0);
-        assert_eq!(store.graph().num_edges(), base.num_edges());
+    let bytes = serialize_v6_with(&base, &index, build_info, None, None).unwrap();
+    let store = IndexStore::from_bytes(&bytes).expect("v6 container opens");
+    assert_eq!(store.meta().version, 6);
+    assert!(store.journal().is_none(), "v6 should carry no journal");
+    assert_eq!(store.journal_bytes(), 0);
+    assert_eq!(store.graph().num_edges(), base.num_edges());
+
+    let journal = StoredJournal {
+        deltas: script(&base, 5, 0xBEE),
+        compactions: 1,
+    };
+    let v6 = serialize_v6_with(&base, &index, build_info, None, Some(&journal)).unwrap();
+    let v7 = serialize_with_journal(&base, &index, build_info, &journal).unwrap();
+    let (old, new) = (
+        IndexStore::from_bytes(&v6).unwrap(),
+        IndexStore::from_bytes(&v7).unwrap(),
+    );
+    assert_eq!(old.journal(), Some(&journal));
+    assert_eq!(old.graph().num_edges(), new.graph().num_edges());
+    let mut ctx = QueryContext::new();
+    for v in 0..40u32 {
+        assert_eq!(
+            old.index().query_with(old.graph(), &mut ctx, 0, v),
+            new.index().query_with(new.graph(), &mut ctx, 0, v),
+            "v6 and v7 replays disagree on (0, {v})"
+        );
     }
 }
 
@@ -171,7 +184,7 @@ fn compact_folds_journal_and_preserves_answers() {
         );
     }
 
-    // Compacting an already-clean v6 file is a no-op.
+    // Compacting an already-clean current file is a no-op.
     let report = compact_file(&path).unwrap();
     assert_eq!(report.deltas_folded, 0);
     assert_eq!(report.compactions, 3);
@@ -185,15 +198,24 @@ fn compact_upgrades_legacy_containers() {
     let index = build(&base, 3);
     std::fs::write(
         &path,
-        serialize_v4_with(&base, &index, BuildInfo::default()).unwrap(),
+        serialize_v6_with(&base, &index, BuildInfo::default(), None, None).unwrap(),
     )
     .unwrap();
     let report = compact_file(&path).unwrap();
     assert_eq!(report.deltas_folded, 0);
     assert_eq!(report.compactions, 0);
+    assert!(report.bytes_after < report.bytes_before, "{report:?}");
     let store = IndexStore::open(&path).unwrap();
-    assert_eq!(store.meta().version, 6);
+    assert_eq!(store.meta().version, FORMAT_VERSION);
     assert!(store.journal().unwrap().is_empty());
+    assert_eq!(
+        store.index().label_entries(),
+        index.as_view().label_entries()
+    );
+
+    // An up-to-date container is left alone.
+    let again = compact_file(&path).unwrap();
+    assert_eq!(again.bytes_before, again.bytes_after);
 }
 
 #[test]

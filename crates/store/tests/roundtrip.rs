@@ -125,11 +125,15 @@ fn serialization_is_deterministic_and_meta_is_accurate() {
     assert_eq!(meta.build, hcl_store::BuildInfo::default());
     assert_eq!(store.len_bytes(), a.len() as u64);
 
-    // Sections cover the advertised element counts (7 in format v3:
-    // label hubs and distances are one packed section).
+    // Sections cover the advertised element counts (7: labels are one
+    // packed section, here of narrow 4-byte words).
     let sections = store.sections();
     assert_eq!(sections.len(), 7);
-    assert!(sections.iter().any(|s| s.name == "label_entries"));
+    let entries = sections
+        .iter()
+        .find(|s| s.name == "label_entries32")
+        .unwrap();
+    assert_eq!(entries.len_bytes, meta.label_entries * 4);
     let offsets = sections.iter().find(|s| s.name == "graph_offsets").unwrap();
     assert_eq!(offsets.len_bytes, (150 + 1) * 8);
     assert!(sections.iter().all(|s| s.offset % 8 == 0));
@@ -191,51 +195,106 @@ fn to_owned_parts_fully_deserialises() {
     }
 }
 
-/// Legacy v2 containers (split hub/dist label sections) must load through
-/// the converting reader and answer every query identically to the owned
-/// index — across all graph families and landmark counts, through both the
-/// in-memory and file open paths, validated and trusted alike.
+/// Every family answers exactly like the BFS oracle three ways: served
+/// from a v7 container (narrow words wherever the labels fit), from a v6
+/// container (wide words, through the engine's wide instantiation), and
+/// after an owned round trip out of the v6 store (which re-picks the
+/// width).
 #[test]
-fn v2_containers_round_trip_through_the_converting_reader() {
+fn families_answer_like_bfs_as_v7_narrow_v6_wide_and_owned() {
     for (name, g) in testkit::families() {
         for k in [0usize, 1, 4, 16] {
             let idx = HighwayCoverIndex::build(&g, IndexConfig { num_landmarks: k });
-            let v2 = hcl_store::serialize_v2_with(&g, &idx, hcl_store::BuildInfo::default())
-                .expect("serialize v2");
-            let current = hcl_store::serialize(&g, &idx).expect("serialize current");
-            assert_ne!(v2, current, "{name} k={k}: versions must differ on disk");
-
-            let store = IndexStore::from_bytes(&v2).expect("v2 loads");
-            let meta = store.meta();
-            assert_eq!(meta.version, 2, "{name} k={k}");
+            let info = hcl_store::BuildInfo::default();
+            let v7 = hcl_store::serialize_with(&g, &idx, info).expect("serialize v7");
+            let v6 = hcl_store::serialize_v6_with(&g, &idx, info, None, None).expect("v6");
+            let narrow = IndexStore::from_bytes(&v7).expect("v7 loads");
+            let wide = IndexStore::from_bytes_trusted(&v6).expect("v6 loads");
+            assert_eq!(narrow.meta().version, hcl_store::FORMAT_VERSION);
+            assert_eq!(wide.meta().version, 6);
             assert_eq!(
-                meta.build.strategy,
-                hcl_store::SelectionStrategy::DegreeRank,
-                "{name} k={k}: v2 must report the degree-rank default"
+                narrow.index().label_entries().word_bytes(),
+                4,
+                "{name} k={k}"
             );
-            assert_eq!(meta.label_entries, idx.stats().total_label_entries as u64);
-            let sections = store.sections();
-            assert_eq!(sections.len(), 8, "{name} k={k}: v2 has split sections");
-            assert!(sections.iter().any(|s| s.name == "label_hubs"));
-            assert!(sections.iter().any(|s| s.name == "label_dists"));
-            assert_store_matches_owned(&format!("{name} k={k} v2 bytes"), &g, &idx, &store);
+            assert_eq!(wide.index().label_entries().word_bytes(), 8, "{name} k={k}");
+            let has = |store: &IndexStore, section: &str| {
+                store.sections().iter().any(|s| s.name == section)
+            };
+            assert!(has(&narrow, "label_entries32") && !has(&narrow, "label_entries"));
+            assert!(has(&wide, "label_entries") && !has(&wide, "label_entries32"));
+            let (og, oi) = wide.to_owned_parts();
+            assert_eq!(oi.as_view().label_entries(), idx.as_view().label_entries());
 
-            // Same answers through a real file, both open modes.
-            let path = temp_path(&format!(
-                "v2_{}_{k}",
-                name.replace(['(', ')', ',', '.', '⊎', '+'], "_")
-            ));
-            std::fs::write(&path, &v2).expect("write v2 file");
-            let opened = IndexStore::open(&path).expect("open v2 file");
-            assert_store_matches_owned(&format!("{name} k={k} v2 file"), &g, &idx, &opened);
-            drop(opened);
-            let trusted = IndexStore::open_trusted(&path).expect("open_trusted v2 file");
-            assert_eq!(trusted.meta().version, 2);
-            assert_store_matches_owned(&format!("{name} k={k} v2 trusted"), &g, &idx, &trusted);
-            drop(trusted);
-            std::fs::remove_file(&path).ok();
+            let n = g.num_vertices() as u32;
+            let mut ctx = QueryContext::new();
+            for u in 0..n {
+                let oracle = hcl_core::bfs::distances_from(&g, u);
+                for v in 0..n {
+                    let want = Some(oracle[v as usize]).filter(|&d| d != hcl_core::INFINITY);
+                    for (how, got) in [
+                        (
+                            "v7",
+                            narrow.index().query_with(narrow.graph(), &mut ctx, u, v),
+                        ),
+                        ("v6", wide.index().query_with(wide.graph(), &mut ctx, u, v)),
+                        ("owned", oi.query_with(&og, &mut ctx, u, v)),
+                    ] {
+                        assert_eq!(got, want, "{name} k={k} {how}: query({u}, {v})");
+                    }
+                }
+            }
         }
     }
+}
+
+/// Labels too deep for 16-bit distances fall back to wide words: a path
+/// of 65,540 vertices with its end as the only landmark labels its far
+/// end at distance 65,539. The container then carries kind 9 and serves
+/// exactly through both opens.
+#[test]
+#[cfg_attr(miri, ignore)]
+fn deep_labels_fall_back_to_wide_entries() {
+    struct First;
+    impl hcl_index::LandmarkSelector for First {
+        fn name(&self) -> &'static str {
+            "first"
+        }
+        fn select(&self, _graph: hcl_core::GraphView<'_>, k: usize) -> Vec<u32> {
+            (0..k as u32).collect()
+        }
+    }
+    const N: u32 = 65_540;
+    let g = testkit::path(N as usize);
+    let options = hcl_index::BuildOptions {
+        num_landmarks: 1,
+        threads: 1,
+        ..Default::default()
+    };
+    let idx = HighwayCoverIndex::build_in_with_selector(&g, &options, &mut [], &First);
+    assert_eq!(idx.label(N - 1).collect::<Vec<_>>(), vec![(0, N - 1)]);
+    assert_eq!(idx.as_view().label_entries().word_bytes(), 8);
+
+    let path = temp_path("wide_fallback");
+    hcl_store::save(&path, &g, &idx).expect("save");
+    for store in [
+        IndexStore::open(&path).expect("validated open"),
+        IndexStore::open_trusted(&path).expect("trusted open"),
+    ] {
+        let names: Vec<&str> = store.sections().iter().map(|s| s.name).collect();
+        assert!(names.contains(&"label_entries"), "{names:?}");
+        assert!(!names.contains(&"label_entries32"), "{names:?}");
+        assert_eq!(store.index().label_entries().word_bytes(), 8);
+        let mut ctx = QueryContext::new();
+        for (u, v) in [(0, N - 1), (N - 1, 0), (1, N - 2), (30_000, 65_000), (7, 7)] {
+            assert_eq!(
+                store.index().query_with(store.graph(), &mut ctx, u, v),
+                hcl_core::bfs::distance(&g, u, v),
+                "query({u}, {v})"
+            );
+        }
+    }
+    std::fs::remove_file(&path).ok();
 }
 
 /// The trusted open skips exactly the whole-file CRC pass: it must load
@@ -322,36 +381,6 @@ fn v4_header_round_trips_strategy_and_seed_on_all_families() {
     }
 }
 
-/// Legacy v3 containers (80-byte header, no strategy fields) must keep
-/// loading — reported as `DegreeRank`, the only strategy that existed
-/// when they were written — with answers identical to the owned index.
-#[test]
-fn v3_containers_load_as_degree_rank() {
-    for (name, g) in testkit::families() {
-        for k in [0usize, 4] {
-            let idx = HighwayCoverIndex::build(&g, IndexConfig { num_landmarks: k });
-            let v3 = hcl_store::serialize_v3_with(&g, &idx, hcl_store::BuildInfo::default())
-                .expect("serialize v3");
-            let v4 = hcl_store::serialize(&g, &idx).expect("serialize v4");
-            assert_ne!(v3, v4, "{name} k={k}: versions must differ on disk");
-
-            let store = IndexStore::from_bytes(&v3).expect("v3 loads");
-            assert_eq!(store.meta().version, 3, "{name} k={k}");
-            assert_eq!(
-                store.meta().build.strategy,
-                hcl_store::SelectionStrategy::DegreeRank,
-                "{name} k={k}: v3 must report the degree-rank default"
-            );
-            assert_store_matches_owned(&format!("{name} k={k} v3"), &g, &idx, &store);
-            let trusted = IndexStore::from_bytes_trusted(&v3).expect("v3 trusted");
-            assert_eq!(
-                trusted.meta().build.strategy,
-                hcl_store::SelectionStrategy::DegreeRank
-            );
-        }
-    }
-}
-
 #[test]
 fn serialize_rejects_mismatched_graph() {
     let g = testkit::path(10);
@@ -416,34 +445,4 @@ fn v5_build_stats_round_trip_and_optionality() {
     assert_store_matches_owned("v5 stats trusted", &g, &idx, &trusted);
     drop(trusted);
     std::fs::remove_file(&path).ok();
-}
-
-/// Legacy v4 containers (no `build_stats` section kind at all) must keep
-/// loading with `build_stats() == None` and identical answers — the
-/// compatibility contract deep-inspection tooling relies on.
-#[test]
-fn v4_containers_load_without_build_stats() {
-    for (name, g) in testkit::families() {
-        for k in [0usize, 4] {
-            let idx = HighwayCoverIndex::build(&g, IndexConfig { num_landmarks: k });
-            let info = hcl_store::BuildInfo {
-                threads: 2,
-                batch_size: 8,
-                strategy: hcl_store::SelectionStrategy::ApproxCoverage { seed: 7 },
-            };
-            let v4 = hcl_store::serialize_v4_with(&g, &idx, info).expect("serialize v4");
-            let v5 = hcl_store::serialize_with(&g, &idx, info).expect("serialize v5");
-            assert_ne!(v4, v5, "{name} k={k}: version field must differ");
-
-            let store = IndexStore::from_bytes(&v4).expect("v4 loads");
-            assert_eq!(store.meta().version, 4, "{name} k={k}");
-            assert_eq!(store.meta().build.strategy, info.strategy, "{name} k={k}");
-            assert_eq!(
-                store.build_stats(),
-                None,
-                "{name} k={k}: v4 predates build stats"
-            );
-            assert_store_matches_owned(&format!("{name} k={k} v4"), &g, &idx, &store);
-        }
-    }
 }

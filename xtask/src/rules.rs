@@ -338,7 +338,6 @@ struct FormatFacts {
     version: u64,
     oldest: u64,
     header_len: u64,
-    legacy_header_len: u64,
     /// `(kind discriminant, snake_case name, element type)` per variant.
     kinds: Vec<(u64, String, &'static str)>,
 }
@@ -404,22 +403,21 @@ pub fn store_format(root: &Path, files: &[SourceFile]) -> Vec<Violation> {
         )];
     };
 
-    // Prose side: the four bold integers, in order: current version,
-    // oldest readable, header bytes, legacy header bytes.
+    // Prose side: the three bold integers, in order: current version,
+    // oldest readable, header bytes.
     let bold: Vec<u64> = bold_ints(block);
     let expected = [
         ("current format version", facts.version),
         ("oldest readable version", facts.oldest),
         ("header length", facts.header_len),
-        ("legacy header length", facts.legacy_header_len),
     ];
     if bold.len() < expected.len() {
         out.push(fail(
             block_start,
             DOC,
             format!(
-                "store-format block must carry four bold integers (current version, oldest \
-                 readable, header bytes, legacy header bytes); found {}",
+                "store-format block must carry three bold integers (current version, oldest \
+                 readable, header bytes); found {}",
                 bold.len()
             ),
         ));
@@ -508,7 +506,6 @@ fn extract_format_facts(file: &SourceFile) -> Result<FormatFacts, String> {
     let version = const_val("FORMAT_VERSION")?;
     let oldest = const_val("OLDEST_READABLE_VERSION")?;
     let header_len = const_val("HEADER_LEN")?;
-    let legacy_header_len = const_val("LEGACY_HEADER_LEN")?;
 
     // Enum variants with explicit discriminants.
     let mut variants: Vec<(u64, String)> = Vec::new();
@@ -573,7 +570,6 @@ fn extract_format_facts(file: &SourceFile) -> Result<FormatFacts, String> {
         version,
         oldest,
         header_len,
-        legacy_header_len,
         kinds,
     })
 }

@@ -46,7 +46,7 @@ mod slowlog;
 mod sync;
 mod update;
 
-use hcl_core::{bfs, EdgeDelta, Graph, GraphBuilder, GraphView, VertexId};
+use hcl_core::{bfs, DynGraphView, EdgeDelta, Graph, GraphBuilder, VertexId};
 use hcl_index::{
     BuildOptions, HighwayCoverIndex, IndexView, QueryContext, QueryStats, SelectionStrategy,
 };
@@ -402,9 +402,9 @@ enum Source {
 }
 
 impl Source {
-    fn views(&self) -> (GraphView<'_>, IndexView<'_>) {
+    fn views(&self) -> (DynGraphView<'_>, IndexView<'_>) {
         match self {
-            Source::Built { graph, index } => (graph.as_view(), index.as_view()),
+            Source::Built { graph, index } => (graph.into(), index.as_view()),
             Source::Stored(store) => (store.graph(), store.index()),
         }
     }
@@ -1307,11 +1307,9 @@ fn apply_seq_delta(
                 index_path.map(std::path::PathBuf::from),
                 compact_after,
             ),
-            Source::Built { graph, index } => Ok(update::UpdateEngine::from_views(
-                graph.as_view(),
-                index.as_view(),
-                compact_after,
-            )),
+            Source::Built { graph, index } => {
+                update::UpdateEngine::from_owned(graph, index, compact_after)
+            }
         };
         match created {
             Ok(created) => *engine = Some(created),
@@ -1329,7 +1327,7 @@ fn apply_seq_delta(
         Ok(outcome) if !outcome.applied => {
             eprintln!("update stdin:{lineno}: {delta} is a no-op (edge state unchanged)");
         }
-        Ok(_) => match eng.commit() {
+        Ok(outcome) => match eng.commit() {
             Ok(report) => {
                 *generation += 1;
                 metrics.updates_applied.inc();
@@ -1338,7 +1336,10 @@ fn apply_seq_delta(
                 }
                 eprintln!(
                     "update stdin:{lineno}: applied {delta}; now serving generation \
-                     {generation}{}",
+                     {generation}, {} landmark tree(s) repaired, {} vertex label(s) \
+                     rewritten{}",
+                    outcome.affected_landmarks,
+                    outcome.relabelled_vertices,
                     report.describe()
                 );
             }
@@ -1425,19 +1426,22 @@ fn cmd_update(args: Vec<String>) -> Result<(), String> {
         Some(std::path::PathBuf::from(&path)),
         compact_after,
     )?;
-    // The engine owns everything it needs; release the mapping before a
-    // checkpoint replaces the file under it.
+    // The engine shares the store's mapped base. A checkpoint renames a
+    // new file over the path, which leaves this mapping of the old inode
+    // valid, and the engine then reopens the new file as its base.
     drop(store);
 
     let mut applied = 0u64;
     let mut noops = 0u64;
     let mut trees = 0usize;
+    let mut relabelled = 0usize;
     let mut full_relabels = 0u64;
     for delta in deltas {
         let outcome = engine.apply(delta)?;
         if outcome.applied {
             applied += 1;
             trees += outcome.affected_landmarks;
+            relabelled += outcome.relabelled_vertices;
             if outcome.full_relabel {
                 full_relabels += 1;
             }
@@ -1453,7 +1457,8 @@ fn cmd_update(args: Vec<String>) -> Result<(), String> {
     .map_err(|e| e.message)?;
     eprintln!(
         "updated {path}: {applied} delta(s) applied ({noops} no-op), {trees} landmark tree(s) \
-         repaired, {full_relabels} full relabel(s); {} pending, {} compaction(s){}; took {:.1?}",
+         repaired, {relabelled} vertex label(s) rewritten, {full_relabels} full relabel(s); \
+         {} pending, {} compaction(s){}; took {:.1?}",
         engine.pending(),
         engine.compactions(),
         report.describe(),
@@ -1470,9 +1475,13 @@ fn cmd_update(args: Vec<String>) -> Result<(), String> {
 /// that dominate the labels, and the build counters the container records
 /// (a one-line absence note when it records none).
 fn write_deep_stats(out: &mut dyn Write, store: &IndexStore) -> std::io::Result<()> {
+    // Read through `label`, so pending deltas (a patch) are counted.
     let index = store.index();
-    let offsets = index.label_offsets();
-    let mut sizes: Vec<u64> = offsets.windows(2).map(|w| w[1] - w[0]).collect();
+    let vertices = 0..index.num_vertices() as VertexId;
+    let mut sizes: Vec<u64> = vertices
+        .clone()
+        .map(|v| index.label(v).count() as u64)
+        .collect();
     sizes.sort_unstable();
     // Nearest-rank quantiles over the exact per-vertex sizes — no
     // bucketing, the data is right there.
@@ -1494,7 +1503,7 @@ fn write_deep_stats(out: &mut dyn Write, store: &IndexStore) -> std::io::Result<
 
     let landmarks = index.landmarks();
     let mut freq = vec![0u64; landmarks.len()];
-    for (rank, _) in index.label_entries().iter() {
+    for (rank, _) in vertices.flat_map(|v| index.label(v)) {
         if let Some(slot) = freq.get_mut(rank as usize) {
             *slot += 1;
         }

@@ -293,16 +293,23 @@ impl ServerMetrics {
     /// lines — every counter, the in-flight gauge, the serving index
     /// generation and the size of its labels, and the latency quantiles
     /// (omitted until the first sample, like every quantile exporter).
-    /// The label gauges are read off `index` (the serving generation's)
-    /// at scrape time, so they follow every reload and publish.
-    pub(crate) fn render(&self, generation: u64, index: hcl_index::IndexView<'_>) -> String {
+    /// The label and patch gauges are read off `store` (the serving
+    /// generation's) at scrape time, so they follow every reload and
+    /// publish.
+    pub(crate) fn render(&self, generation: u64, store: &hcl_store::IndexStore) -> String {
         use std::fmt::Write as _;
         let mut out = String::with_capacity(768);
         out.push_str("hcl_up 1\n");
         let _ = writeln!(out, "hcl_index_generation {generation}");
-        let entries = index.label_entries();
-        let _ = writeln!(out, "hcl_label_entries {}", entries.len());
-        let _ = writeln!(out, "hcl_label_entry_bytes {}", entries.word_bytes());
+        let index = store.index();
+        let _ = writeln!(out, "hcl_label_entries {}", index.num_label_entries());
+        let word_bytes = index.label_entries().word_bytes();
+        let _ = writeln!(out, "hcl_label_entry_bytes {word_bytes}");
+        let patch = store.patch();
+        let labels = patch.map_or(0, |p| p.labels.num_patched());
+        let adjacency = patch.map_or(0, |p| p.graph.num_patched());
+        let _ = writeln!(out, "hcl_patch_label_vertices {labels}");
+        let _ = writeln!(out, "hcl_patch_adjacency_vertices {adjacency}");
         for c in [
             &self.connections,
             &self.requests,
@@ -454,7 +461,8 @@ mod tests {
             &graph,
             hcl_index::IndexConfig { num_landmarks: 1 },
         );
-        let text = m.render(3, index.as_view());
+        let store = hcl_store::IndexStore::from_owned(&graph, &index).unwrap();
+        let text = m.render(3, &store);
         let entries = index.stats().total_label_entries;
         let entries_line = format!("hcl_label_entries {entries}\n");
         for needle in [
@@ -462,6 +470,8 @@ mod tests {
             "hcl_index_generation 3\n",
             &entries_line,
             "hcl_label_entry_bytes 4\n",
+            "hcl_patch_label_vertices 0\n",
+            "hcl_patch_adjacency_vertices 0\n",
             "hcl_requests_total 2\n",
             "hcl_answers_total 1\n",
             "hcl_busy_rejected_total 0\n",

@@ -38,7 +38,7 @@ use crate::slowlog::{SlowLog, SlowQuery};
 use crate::sync::{lock_recover, wait_recover};
 use crate::update::{delta_op, parse_delta_rest, UpdateEngine};
 use crate::validate_serve_pair;
-use hcl_core::{GraphView, VertexId};
+use hcl_core::{DynGraphView, VertexId};
 use hcl_index::{IndexView, QueryContext, QueryStats};
 use hcl_store::GenerationHandle;
 use std::collections::HashMap;
@@ -70,7 +70,7 @@ pub(crate) fn push_answer_line(buf: &mut String, u: VertexId, v: VertexId, d: Op
 /// answers in input order. `workers <= 1` (or a workload smaller than one
 /// chunk) runs inline on one reused context.
 pub(crate) fn answer_batch(
-    graph: GraphView<'_>,
+    graph: DynGraphView<'_>,
     index: IndexView<'_>,
     queries: &[(VertexId, VertexId)],
     workers: usize,
@@ -386,7 +386,7 @@ fn apply_stdin_delta(
         Ok(outcome) if !outcome.applied => {
             eprintln!("update stdin:{lineno}: {delta} is a no-op (edge state unchanged)");
         }
-        Ok(_) => match eng.commit() {
+        Ok(outcome) => match eng.commit() {
             Ok(report) => {
                 let generation = eng.publish(handle);
                 metrics.updates_applied.inc();
@@ -395,7 +395,10 @@ fn apply_stdin_delta(
                 }
                 eprintln!(
                     "update stdin:{lineno}: applied {delta}; now serving generation \
-                     {generation}{}",
+                     {generation}, {} landmark tree(s) repaired, {} vertex label(s) \
+                     rewritten{}",
+                    outcome.affected_landmarks,
+                    outcome.relabelled_vertices,
                     report.describe()
                 );
             }

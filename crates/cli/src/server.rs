@@ -773,7 +773,7 @@ fn handle_http(
         }
         "/metrics" => {
             let current = state.handle.current();
-            let body = m.render(current.number, current.store.index());
+            let body = m.render(current.number, &current.store);
             respond(writer, state, peer, 200, "OK", "text/plain", &body);
         }
         "/query" => handle_http_query(query, writer, ctx, state, peer, worker),
@@ -1070,31 +1070,50 @@ fn handle_http_update(
             }
             m.set_wal(engine.pending(), engine.wal_bytes());
             eprintln!(
-                "update from {peer}: {} delta(s) applied ({} no-op) as generation {}{}",
+                "update from {peer}: {} delta(s) applied ({} no-op) as generation {}, \
+                 {} landmark tree(s) repaired, {} vertex label(s) rewritten{}",
                 done.applied,
                 done.ignored,
                 done.generation,
+                done.affected_trees,
+                done.relabelled_vertices,
                 done.persisted.describe()
             );
             let body = format!(
                 "{{\"ok\":true,\"applied\":{},\"ignored\":{},\"pending\":{},\
-                 \"generation\":{}}}\n",
+                 \"generation\":{},\"affected_trees\":{},\"relabelled_vertices\":{},\
+                 \"apply_us\":{},\"commit_us\":{},\"publish_us\":{}}}\n",
                 done.applied,
                 done.ignored,
                 engine.pending(),
-                done.generation
+                done.generation,
+                done.affected_trees,
+                done.relabelled_vertices,
+                done.apply_us,
+                done.commit_us,
+                done.publish_us
             );
             respond(writer, state, peer, 200, "OK", "application/json", &body);
         }
     }
 }
 
-/// What a successful `/update` batch did.
+/// What a successful `/update` batch did, and what each phase took.
 struct UpdateDone {
     applied: u64,
     ignored: u64,
     persisted: crate::update::PersistReport,
     generation: u64,
+    /// Landmark trees re-labelled, summed over the batch's deltas.
+    affected_trees: usize,
+    /// Vertex labels rewritten, summed over the batch's deltas.
+    relabelled_vertices: usize,
+    /// Applying and repairing every delta.
+    apply_us: u128,
+    /// The WAL append or checkpoint.
+    commit_us: u128,
+    /// Swapping the next generation in.
+    publish_us: u128,
 }
 
 /// Applies a parsed delta batch to the engine, commits it (WAL append or
@@ -1115,11 +1134,16 @@ fn run_update(
             "updates are disabled until a reload after an unrecoverable write failure".into(),
         ));
     }
-    let mut applied = 0u64;
-    let mut ignored = 0u64;
+    let (mut applied, mut ignored) = (0u64, 0u64);
+    let (mut affected_trees, mut relabelled_vertices) = (0usize, 0usize);
+    let t = Instant::now();
     for delta in deltas {
         match engine.apply(delta) {
-            Ok(outcome) if outcome.applied => applied += 1,
+            Ok(outcome) if outcome.applied => {
+                applied += 1;
+                affected_trees += outcome.affected_landmarks;
+                relabelled_vertices += outcome.relabelled_vertices;
+            }
             Ok(_) => ignored += 1,
             Err(e) => {
                 engine.rollback();
@@ -1127,6 +1151,8 @@ fn run_update(
             }
         }
     }
+    let apply_us = t.elapsed().as_micros();
+    let t = Instant::now();
     let persisted = engine.commit().map_err(|e| {
         if e.unavailable {
             (503, UNAVAILABLE, e.message)
@@ -1134,11 +1160,19 @@ fn run_update(
             (500, "Internal Server Error", e.message)
         }
     })?;
+    let commit_us = t.elapsed().as_micros();
+    let t = Instant::now();
+    let generation = engine.publish(handle);
     Ok(UpdateDone {
         applied,
         ignored,
         persisted,
-        generation: engine.publish(handle),
+        generation,
+        affected_trees,
+        relabelled_vertices,
+        apply_us,
+        commit_us,
+        publish_us: t.elapsed().as_micros(),
     })
 }
 

@@ -1,27 +1,33 @@
 //! Live edge updates: the engine every serving mode routes `+u v` /
 //! `-u v` deltas through.
 //!
-//! [`UpdateEngine`] keeps the **live** state — graph and labels with
-//! every delta applied, maintained incrementally by `hcl-index`'s repair
-//! path (never a full rebuild) — and makes each batch durable before it
-//! is acknowledged:
+//! [`UpdateEngine`] keeps the **live** state as the container's validated
+//! base plus an owned [`Patch`]: the adjacency lists and labels the
+//! deltas changed, maintained incrementally by `hcl-index`'s [`repair`]
+//! (never a full rebuild, never a copy of the base). Each batch is made
+//! durable before it is acknowledged:
 //!
 //! * **WAL append.** A committed batch becomes one CRC-framed record
 //!   appended to the sidecar `<index>.wal` and `fdatasync`ed: a few dozen
 //!   bytes, one dirtied page, however large the container. An open
 //!   replays the container's base sections, its journal section (files
-//!   written before the WAL) and then the WAL.
+//!   written before the WAL) and then the WAL into a patch.
 //! * **Checkpoint.** Once `--compact-after N` deltas are pending (or on
-//!   `hcl update --compact`), the batch is committed by writing the live
-//!   state as a fresh container through the durable publish instead; the
-//!   new checksum makes the old WAL stale, and it is removed.
+//!   `hcl update --compact`), the batch is committed by materialising
+//!   base + patch (a CSR concatenation and a label flatten — the only
+//!   full copies on this path) and writing them as a fresh container
+//!   through the durable publish; the new checksum makes the old WAL
+//!   stale, and it is removed. The new file is then reopened as the base
+//!   and the patch starts empty.
 //!
-//! The live graph and flattened index are `Arc`s. [`UpdateEngine::publish`]
-//! hands them to the next generation through `IndexStore::with_live`, so
-//! a swap shares the served base bytes and copies nothing; after a
-//! checkpoint it reopens the new container as the base instead. A batch
-//! that fails — a bad delta, a failed append — rolls the engine back to
-//! the last committed state, which is what is served and on disk.
+//! Memory: every generation shares the one mapped base; a generation's
+//! own cost is its patch, which holds exactly the vertices whose
+//! adjacency or label differs from the base. [`UpdateEngine::publish`]
+//! clones the committed patch into the next generation through
+//! `IndexStore::with_patch`, in `O(patched vertices)`. Without
+//! `--compact-after` the patch grows until a checkpoint. A batch that
+//! fails — a bad delta, a failed append — restores the committed patch,
+//! which is what is served and on disk.
 //!
 //! The engine is deliberately transport-agnostic: the `update`
 //! subcommand drives it file-to-file, the stdin serve loops drive it a
@@ -32,10 +38,10 @@
 //! covers it): every failure degrades into a `Result` the caller can
 //! report and count, never a panic that would take a serving loop down.
 
-use hcl_core::{DeltaGraph, DeltaOp, EdgeDelta, Graph, GraphView};
-use hcl_index::repair::{DynamicIndex, RepairOutcome};
+use hcl_core::{DeltaGraph, DeltaOp, DynGraphView, EdgeDelta, Graph};
+use hcl_index::repair::{repair, RepairOutcome};
 use hcl_index::{BuildContext, HighwayCoverIndex, IndexView};
-use hcl_store::{BuildInfo, GenerationHandle, IndexStore, StoreError, Wal};
+use hcl_store::{BuildInfo, GenerationHandle, IndexStore, Patch, StoreError, Wal};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -89,9 +95,9 @@ struct Disk {
     wal: Wal,
 }
 
-/// Incremental edge-update engine: applies deltas through label repair,
-/// commits them durably, and hands out the live state for queries and
-/// generation swaps.
+/// Incremental edge-update engine: applies deltas through label repair
+/// into a patch over the shared base, commits them durably, and hands
+/// out the live state for queries and generation swaps.
 pub(crate) struct UpdateEngine {
     /// Build metadata carried into every checkpoint.
     build: BuildInfo,
@@ -102,36 +108,32 @@ pub(crate) struct UpdateEngine {
     pending: usize,
     /// Deltas applied since the last commit, in application order.
     staged: Vec<EdgeDelta>,
-    /// The live graph: the committed state plus the staged deltas.
-    live_graph: Arc<Graph>,
-    /// The live labels in repairable form.
-    dynamic: DynamicIndex,
-    /// CSR-flattened cache of `dynamic`, refreshed lazily — repairs only
-    /// mark it stale, so a batch of deltas pays one flatten, not one per
-    /// delta.
-    live_index: Arc<HighwayCoverIndex>,
-    stale: bool,
-    /// The last committed state — what is on disk and what a failed
+    /// The shared base every published generation serves its patch over:
+    /// the container the WAL is bound to (or an in-memory image), with no
+    /// patch of its own.
+    base: IndexStore,
+    /// The live edits: the committed patch plus the staged deltas.
+    working: Patch,
+    /// The last committed edits — what is on disk and what a failed
     /// batch rolls back to.
-    committed: (Arc<Graph>, Arc<HighwayCoverIndex>),
+    committed: Arc<Patch>,
     /// Reused BFS scratch for the repair path.
     cx: BuildContext,
     /// `None` for an in-memory engine (no `--index` to write back to).
     disk: Option<Disk>,
     /// Checkpoint once this many deltas are pending (0 = never).
     compact_after: usize,
-    /// A checkpoint rewrote the container since the last publish.
-    rebased: bool,
     /// A checkpoint failed after its rename: the container on disk is
     /// unknown to the engine.
     poisoned: bool,
 }
 
 impl UpdateEngine {
-    /// Builds the engine from an opened container. With a `path`, it
-    /// binds to that file's WAL and continues its history: the store
-    /// must serve what the file reopens to (it was opened from it, or
-    /// published by an engine over it).
+    /// Builds the engine from an opened container: its base and the
+    /// patch it serves over it. With a `path`, it binds to that file's
+    /// WAL and continues its history: the store must serve what the file
+    /// reopens to (it was opened from it, or published by an engine over
+    /// it).
     pub(crate) fn from_store(
         store: &IndexStore,
         path: Option<PathBuf>,
@@ -147,40 +149,33 @@ impl UpdateEngine {
             }
             None => None,
         };
-        let mut engine = Self::from_views(store.graph(), store.index(), compact_after);
-        engine.build = store.meta().build;
-        engine.compactions = compactions;
-        engine.pending = journal_pending + disk.as_ref().map_or(0, |d| d.wal.deltas());
-        engine.disk = disk;
-        Ok(engine)
+        let working = store.patch().cloned().unwrap_or_default();
+        Ok(Self {
+            build: store.meta().build,
+            compactions,
+            pending: journal_pending + disk.as_ref().map_or(0, |d| d.wal.deltas()),
+            staged: Vec::new(),
+            base: store.with_patch(Arc::new(Patch::new())),
+            committed: Arc::new(working.clone()),
+            working,
+            cx: BuildContext::new(),
+            disk,
+            compact_after,
+            poisoned: false,
+        })
     }
 
-    /// Builds the engine around an index built in memory this session:
-    /// nothing is pending and there is no file to persist to.
-    pub(crate) fn from_views(
-        graph: GraphView<'_>,
-        index: IndexView<'_>,
+    /// Builds the engine around an index built in memory this session,
+    /// over an in-memory image of it: nothing is pending and there is no
+    /// file to persist to.
+    pub(crate) fn from_owned(
+        graph: &Graph,
+        index: &HighwayCoverIndex,
         compact_after: usize,
-    ) -> Self {
-        let dynamic = DynamicIndex::from_view(index);
-        let live_graph = Arc::new(graph.to_owned_graph());
-        let live_index = Arc::new(dynamic.to_index());
-        Self {
-            build: BuildInfo::default(),
-            compactions: 0,
-            pending: 0,
-            staged: Vec::new(),
-            committed: (Arc::clone(&live_graph), Arc::clone(&live_index)),
-            live_graph,
-            dynamic,
-            live_index,
-            stale: false,
-            cx: BuildContext::new(),
-            disk: None,
-            compact_after,
-            rebased: false,
-            poisoned: false,
-        }
+    ) -> Result<Self, String> {
+        let store = IndexStore::from_owned(graph, index)
+            .map_err(|e| format!("preparing the in-memory index for updates: {e}"))?;
+        Self::from_store(&store, None, compact_after)
     }
 
     /// Stages one delta through incremental label repair. An ineffective
@@ -188,30 +183,29 @@ impl UpdateEngine {
     /// `applied: false` and is *not* staged; an invalid one (out-of-range
     /// endpoint, self-loop) is an error and changes nothing.
     pub(crate) fn apply(&mut self, delta: EdgeDelta) -> Result<RepairOutcome, String> {
-        let mut overlay = DeltaGraph::new(self.live_graph.as_view());
-        let outcome = self
-            .dynamic
-            .apply_and_repair(&mut overlay, delta, &mut self.cx)
-            .map_err(|e| format!("applying {delta}: {e}"))?;
+        let adjacency = std::mem::take(&mut self.working.graph);
+        let mut overlay = DeltaGraph::with_patch(self.base.base_graph(), adjacency);
+        let outcome = repair(
+            self.base.base_index(),
+            &mut self.working.labels,
+            &mut overlay,
+            delta,
+            &mut self.cx,
+        );
+        self.working.graph = overlay.into_patch();
+        let outcome = outcome.map_err(|e| format!("applying {delta}: {e}"))?;
         if outcome.applied {
-            self.live_graph = Arc::new(overlay.to_graph());
             self.staged.push(delta);
-            self.stale = true;
         }
         Ok(outcome)
     }
 
     /// The live graph and index, for answering queries in-process.
-    pub(crate) fn views(&mut self) -> (GraphView<'_>, IndexView<'_>) {
-        self.flatten();
-        (self.live_graph.as_view(), self.live_index.as_view())
-    }
-
-    fn flatten(&mut self) {
-        if self.stale {
-            self.live_index = Arc::new(self.dynamic.to_index());
-            self.stale = false;
-        }
+    pub(crate) fn views(&self) -> (DynGraphView<'_>, IndexView<'_>) {
+        (
+            self.working.graph.view(self.base.base_graph()),
+            self.base.base_index().with_patch(&self.working.labels),
+        )
     }
 
     /// Deltas not yet folded into the base: committed plus staged.
@@ -269,9 +263,9 @@ impl UpdateEngine {
                 unavailable: true,
             });
         }
-        self.flatten();
         let persisted = match (&mut self.disk, fold) {
             (None, _) => Ok(Persisted::Nothing),
+            (Some(_), true) => self.checkpoint(),
             (Some(disk), false) => disk
                 .wal
                 .append(&self.staged)
@@ -280,41 +274,6 @@ impl UpdateEngine {
                     message: format!("appending to {}: {e}", disk.wal.path().display()),
                     unavailable: disk.wal.is_poisoned(),
                 }),
-            (Some(disk), true) => match hcl_store::checkpoint(
-                &disk.path,
-                &self.live_graph,
-                &self.live_index,
-                self.build,
-                self.compactions + 1,
-            ) {
-                Ok(written) => {
-                    // The stale WAL is gone or ignored; bind a writer to
-                    // the new container. Failing that, the checkpoint
-                    // still stands, but nothing more can be appended.
-                    match Wal::open(&disk.path, written.checksum) {
-                        Ok(wal) => disk.wal = wal,
-                        Err(_) => self.poisoned = true,
-                    }
-                    Ok(Persisted::Checkpoint(written.bytes))
-                }
-                Err(e) => {
-                    // A failed directory fsync comes after the rename:
-                    // the container on disk is already the new one while
-                    // the engine rolls back, so refuse further updates.
-                    let renamed = matches!(
-                        e,
-                        StoreError::Publish {
-                            step: "sync-dir",
-                            ..
-                        }
-                    );
-                    self.poisoned |= renamed;
-                    Err(CommitError {
-                        message: format!("checkpointing {}: {e}", disk.path.display()),
-                        unavailable: renamed,
-                    })
-                }
-            },
         };
         let persisted = match persisted {
             Ok(p) => p,
@@ -326,16 +285,67 @@ impl UpdateEngine {
         if fold {
             self.pending = 0;
             self.compactions += 1;
-            self.rebased = matches!(persisted, Persisted::Checkpoint(_));
         } else {
             self.pending += self.staged.len();
         }
         self.staged.clear();
-        self.committed = (Arc::clone(&self.live_graph), Arc::clone(&self.live_index));
+        self.committed = Arc::new(self.working.clone());
         Ok(PersistReport {
             persisted,
             compacted: fold,
         })
+    }
+
+    /// Folds the patch into the base: materialises base + patch, writes
+    /// them as the new container, and rebases onto it with an empty
+    /// patch. Should reopening the written file fail, the engine keeps
+    /// its base and patch, which still describe the same state. Only
+    /// called with a file behind the engine (an in-memory engine keeps
+    /// its patch).
+    fn checkpoint(&mut self) -> Result<Persisted, CommitError> {
+        let (graph, index) = {
+            let (graph, index) = self.views();
+            (graph.to_owned_graph(), index.to_owned_index())
+        };
+        let Some(disk) = self.disk.as_mut() else {
+            return Ok(Persisted::Nothing);
+        };
+        let written =
+            hcl_store::checkpoint(&disk.path, &graph, &index, self.build, self.compactions + 1);
+        drop((graph, index));
+        match written {
+            Ok(written) => {
+                // The stale WAL is gone or ignored; bind a writer to the
+                // new container. Failing that, the checkpoint still
+                // stands, but nothing more can be appended.
+                match Wal::open(&disk.path, written.checksum) {
+                    Ok(wal) => disk.wal = wal,
+                    Err(_) => self.poisoned = true,
+                }
+                if let Ok(reopened) = IndexStore::open_trusted(&disk.path) {
+                    self.working = reopened.patch().cloned().unwrap_or_default();
+                    self.base = reopened.with_patch(Arc::new(Patch::new()));
+                }
+                Ok(Persisted::Checkpoint(written.bytes))
+            }
+            Err(e) => {
+                // A failed directory fsync comes after the rename: the
+                // container on disk is already the new one while the
+                // engine rolls back, so refuse further updates.
+                let renamed = matches!(
+                    e,
+                    StoreError::Publish {
+                        step: "sync-dir",
+                        ..
+                    }
+                );
+                self.poisoned |= renamed;
+                Err(CommitError {
+                    message: format!("checkpointing {}: {e}", disk.path.display()),
+                    unavailable: renamed,
+                })
+            }
+        }
     }
 
     /// Discards the staged deltas: the live state returns to the last
@@ -345,31 +355,15 @@ impl UpdateEngine {
             return;
         }
         self.staged.clear();
-        let (graph, index) = &self.committed;
-        self.live_graph = Arc::clone(graph);
-        self.dynamic = DynamicIndex::from_view(index.as_view());
-        self.live_index = Arc::clone(index);
-        self.stale = false;
+        self.working = Patch::clone(&self.committed);
     }
 
     /// Swaps the committed state in as the next generation of `handle`
-    /// and returns its number. Shares the current generation's base bytes
-    /// (`IndexStore::with_live`); after a checkpoint, reopens the new
-    /// container as the base instead, so the served base always matches
-    /// the file the WAL is bound to.
-    pub(crate) fn publish(&mut self, handle: &GenerationHandle) -> u64 {
-        let reopened = match (&self.disk, std::mem::take(&mut self.rebased)) {
-            (Some(disk), true) => IndexStore::open_trusted(&disk.path).ok(),
-            _ => None,
-        };
-        let (graph, index) = &self.committed;
-        let next = reopened.unwrap_or_else(|| {
-            handle
-                .current()
-                .store
-                .with_live(Arc::clone(graph), Arc::clone(index))
-        });
-        handle.swap(next)
+    /// and returns its number: the engine's base (after a checkpoint, the
+    /// new container) with the committed patch over it
+    /// (`IndexStore::with_patch`), which copies nothing.
+    pub(crate) fn publish(&self, handle: &GenerationHandle) -> u64 {
+        handle.swap(self.base.with_patch(Arc::clone(&self.committed)))
     }
 }
 
@@ -444,7 +438,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let engine = UpdateEngine::from_views(graph.as_view(), index.as_view(), 0);
+        let engine = UpdateEngine::from_owned(&graph, &index, 0).unwrap();
         (graph, engine)
     }
 

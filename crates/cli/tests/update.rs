@@ -465,7 +465,7 @@ fn http_update_applies_transactional_batches_and_persists() {
     // The label gauges describe the serving generation's index.
     let entries = |path: &std::path::Path| {
         let store = hcl_store::IndexStore::open(path).expect("open live index");
-        store.index().label_entries().len() as u64
+        store.index().num_label_entries() as u64
     };
     assert_eq!(server.metric("hcl_label_entries"), entries(&live));
     assert_eq!(server.metric("hcl_label_entry_bytes"), 4);

@@ -52,6 +52,13 @@ impl DenseBitSet {
         self.words[i / 64] |= 1u64 << (i % 64);
     }
 
+    /// Removes `i` from the set (a no-op outside the universe).
+    pub fn remove(&mut self, i: usize) {
+        if let Some(word) = self.words.get_mut(i / 64) {
+            *word &= !(1u64 << (i % 64));
+        }
+    }
+
     /// Whether `i` is in the set. Out-of-universe probes answer `false`
     /// instead of panicking, so the hot path needs no separate range check.
     #[inline]

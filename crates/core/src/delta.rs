@@ -3,23 +3,72 @@
 //! The CSR layout ([`Graph`]/[`GraphView`]) is deliberately frozen: its
 //! contiguous arrays are what the store memory-maps and what every
 //! traversal iterates. Dynamic graphs are layered *on top* of it instead
-//! of mutating it: a [`DeltaGraph`] keeps the base view untouched and
-//! materialises a private, fully merged adjacency list only for the
-//! vertices an edit actually touched. `neighbors` therefore still returns
-//! a plain sorted `&[VertexId]` slice — patched vertices serve their
-//! overlay copy, everyone else serves the base CSR — so traversal code
-//! needs no per-edge branching and no iterator abstraction.
+//! of mutating it. The edits live in an owned [`AdjacencyPatch`]: a fully
+//! merged, sorted neighbour list for each vertex whose adjacency differs
+//! from the base, the edge count, and a dense `n`-bit "patched" set that
+//! is tested before any map lookup. An unpatched vertex therefore costs
+//! one bit test and a CSR slice; only a patched one pays a hash lookup.
+//! A list that an edit brings back to its base form is dropped, so the
+//! patch holds exactly the vertices whose adjacency differs.
 //!
-//! [`DynGraphView`] is the enum-dispatched view unifying both worlds: the
-//! BFS oracles in [`crate::bfs`] accept `impl Into<DynGraphView>` and run
-//! unchanged over a frozen CSR or a base+delta overlay. The vertex set is
-//! fixed: deltas add and remove *edges* between existing vertices (the
-//! serving path's containers pin `n` at build time); growing the vertex
-//! set remains a rebuild.
+//! [`DeltaGraph`] is a base view plus an owned patch — the editable form.
+//! [`PatchedView`] is the `Copy` read-only pairing of a base and a
+//! borrowed patch, which is what a served generation hands out: many
+//! generations share one mapped base, each with its own small patch, and
+//! nothing is materialised until a checkpoint calls
+//! [`DynGraphView::to_owned_graph`]. `neighbors` always returns a plain
+//! sorted `&[VertexId]` slice, so traversal code needs no per-edge
+//! branching and no iterator abstraction.
+//!
+//! Two ways to traverse either form:
+//!
+//! * [`DynGraphView`], the enum-dispatched view: the BFS oracles in
+//!   [`crate::bfs`] accept `impl Into<DynGraphView>` and run unchanged over
+//!   a frozen CSR or a patched one, at one match per adjacency fetch;
+//! * [`Adjacency`], a small trait that hot loops are generic over, so a
+//!   caller matches the variant once and runs a monomorphised loop.
+//!
+//! The vertex set is fixed: deltas add and remove *edges* between existing
+//! vertices (the serving path's containers pin `n` at build time); growing
+//! the vertex set remains a rebuild.
 
-use crate::graph::{Graph, GraphBuilder, GraphView, VertexId};
+use crate::bitset::DenseBitSet;
+use crate::graph::{Graph, GraphView, VertexId};
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// A hash map keyed by vertex id, for patches: repair probes it once per
+/// patched vertex on every `O(n)` pass, so the key hash is one multiply
+/// instead of SipHash.
+pub type VertexMap<V> = HashMap<VertexId, V, BuildHasherDefault<VertexHasher>>;
+
+/// The [`VertexMap`] hasher: Fibonacci hashing of the 32-bit id, rotated
+/// so the bucket-selecting low bits come from the well-mixed high half of
+/// the product (ids that differ only in their high bits still spread).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct VertexHasher(u64);
+
+impl Hasher for VertexHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(u32::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, id: u32) {
+        self.0 = (self.0 ^ u64::from(id))
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .rotate_left(32);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// What an [`EdgeDelta`] does to the edge `(u, v)`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -135,30 +184,153 @@ impl fmt::Display for DeltaError {
 
 impl std::error::Error for DeltaError {}
 
-/// A mutable edge-delta overlay over an immutable base [`GraphView`].
+/// Owned adjacency edits over a base CSR graph: the rewritten sorted
+/// neighbour list of every vertex whose adjacency differs from the base,
+/// the change in edge count, and a dense bitset marking those vertices.
 ///
-/// Edits are applied with [`DeltaGraph::apply`]; adjacency reads come
-/// back as plain sorted slices (overlay copies for patched vertices, the
-/// base CSR for everyone else), so the overlay plugs into every traversal
-/// through [`DynGraphView`] without changing its inner loop. Materialise
-/// with [`DeltaGraph::to_graph`] once a batch of edits settles.
-pub struct DeltaGraph<'a> {
-    base: GraphView<'a>,
+/// A patch does not hold its base; pair it with the base it was built
+/// over ([`DeltaGraph::with_patch`], [`AdjacencyPatch::view`]). Cloning
+/// costs `O(patched vertices + their degrees)` plus `n / 64` words for
+/// the bitset.
+#[derive(Clone, Debug, Default)]
+pub struct AdjacencyPatch {
+    /// Bit `v` set iff `v` has an entry in `lists`. Sized to the base's
+    /// vertex count on the first edit.
+    patched: DenseBitSet,
     /// Fully merged, sorted adjacency for vertices whose neighbourhood
     /// differs from the base.
-    patched: HashMap<VertexId, Vec<VertexId>>,
-    /// Undirected edge count after all applied deltas.
-    num_edges: usize,
+    lists: VertexMap<Vec<VertexId>>,
+    /// Edges inserted minus edges deleted, relative to the base.
+    edge_delta: i64,
+}
+
+impl AdjacencyPatch {
+    /// A patch with no edits.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of vertices whose adjacency differs from the base.
+    pub fn num_patched(&self) -> usize {
+        self.lists.len()
+    }
+
+    /// Whether the patch changes nothing.
+    pub fn is_empty(&self) -> bool {
+        self.lists.is_empty()
+    }
+
+    /// The patched vertices, ascending.
+    pub fn patched_vertices(&self) -> Vec<VertexId> {
+        let mut vertices: Vec<VertexId> = self.lists.keys().copied().collect();
+        vertices.sort_unstable();
+        vertices
+    }
+
+    /// The rewritten neighbour list of `v`, or `None` when `v` serves its
+    /// base list. The dense bit is tested before the map is.
+    #[inline]
+    pub fn get(&self, v: VertexId) -> Option<&[VertexId]> {
+        if !self.patched.contains(v as usize) {
+            return None;
+        }
+        self.lists.get(&v).map(Vec::as_slice)
+    }
+
+    /// This patch over `base` as a traversable view: the plain CSR when
+    /// the patch is empty, so unedited generations run the CSR code.
+    pub fn view<'a>(&'a self, base: GraphView<'a>) -> DynGraphView<'a> {
+        if self.is_empty() {
+            DynGraphView::Csr(base)
+        } else {
+            DynGraphView::Patched(PatchedView { base, patch: self })
+        }
+    }
+
+    /// Applies one edit over `base` (see [`DeltaGraph::apply`]).
+    fn apply(&mut self, base: GraphView<'_>, delta: EdgeDelta) -> Result<bool, DeltaError> {
+        let n = base.num_vertices();
+        delta.validate(n)?;
+        let present = PatchedView { base, patch: self }
+            .neighbors(delta.u)
+            .binary_search(&delta.v)
+            .is_ok();
+        let effective = match delta.op {
+            DeltaOp::Insert => !present,
+            DeltaOp::Delete => present,
+        };
+        if !effective {
+            return Ok(false);
+        }
+        if self.patched.len() < n {
+            self.patched.reset(n);
+            for &v in self.lists.keys() {
+                self.patched.insert(v as usize);
+            }
+        }
+        for (a, b) in [(delta.u, delta.v), (delta.v, delta.u)] {
+            let mut adj = self
+                .lists
+                .remove(&a)
+                .unwrap_or_else(|| base.neighbors(a).to_vec());
+            match (delta.op, adj.binary_search(&b)) {
+                (DeltaOp::Insert, Err(pos)) => adj.insert(pos, b),
+                (DeltaOp::Delete, Ok(pos)) => {
+                    adj.remove(pos);
+                }
+                // `present` was checked on the merged adjacency, and both
+                // directions stay in lockstep, so these arms cannot occur.
+                _ => {}
+            }
+            // A list edited back to its base form leaves the patch.
+            if adj == base.neighbors(a) {
+                self.patched.remove(a as usize);
+            } else {
+                self.patched.insert(a as usize);
+                self.lists.insert(a, adj);
+            }
+        }
+        self.edge_delta += match delta.op {
+            DeltaOp::Insert => 1,
+            DeltaOp::Delete => -1,
+        };
+        Ok(true)
+    }
+}
+
+/// A mutable edge-delta overlay: a base [`GraphView`] plus an owned
+/// [`AdjacencyPatch`].
+///
+/// Edits are applied with [`DeltaGraph::apply`]; adjacency reads come
+/// back as plain sorted slices (patched copies for edited vertices, the
+/// base CSR for everyone else), so the overlay plugs into every traversal
+/// through [`DynGraphView`] or [`Adjacency`] without changing its inner
+/// loop. Materialise with [`DeltaGraph::to_graph`] at a checkpoint.
+pub struct DeltaGraph<'a> {
+    base: GraphView<'a>,
+    patch: AdjacencyPatch,
 }
 
 impl<'a> DeltaGraph<'a> {
     /// An overlay with no edits yet.
     pub fn new(base: GraphView<'a>) -> Self {
-        Self {
-            base,
-            patched: HashMap::new(),
-            num_edges: base.num_edges(),
-        }
+        Self::with_patch(base, AdjacencyPatch::new())
+    }
+
+    /// An overlay continuing `patch`'s edits over `base`, the graph the
+    /// patch was built on.
+    pub fn with_patch(base: GraphView<'a>, patch: AdjacencyPatch) -> Self {
+        Self { base, patch }
+    }
+
+    /// Gives the edits back, e.g. to publish them over a shared base.
+    pub fn into_patch(self) -> AdjacencyPatch {
+        self.patch
+    }
+
+    /// The edits applied so far.
+    pub fn patch(&self) -> &AdjacencyPatch {
+        &self.patch
     }
 
     /// Number of vertices (fixed: always the base graph's count).
@@ -168,24 +340,22 @@ impl<'a> DeltaGraph<'a> {
 
     /// Number of undirected edges after all applied deltas.
     pub fn num_edges(&self) -> usize {
-        self.num_edges
+        self.patched_view().num_edges()
     }
 
     /// Number of vertices whose adjacency differs from the base.
     pub fn num_patched(&self) -> usize {
-        self.patched.len()
+        self.patch.num_patched()
     }
 
-    /// The sorted neighbour list of `v`: the overlay copy if `v` was
-    /// touched by an edit, the base CSR slice otherwise.
+    /// The sorted neighbour list of `v`: the patched copy if an edit left
+    /// `v`'s adjacency different from the base, the base CSR slice
+    /// otherwise.
     ///
     /// # Panics
     /// Panics if `v` is out of range (same contract as [`GraphView`]).
     pub fn neighbors(&self, v: VertexId) -> &[VertexId] {
-        match self.patched.get(&v) {
-            Some(adj) => adj,
-            None => self.base.neighbors(v),
-        }
+        self.patched_view().neighbors(v)
     }
 
     /// Whether `u` and `v` are adjacent (`O(log degree(u))`).
@@ -201,69 +371,107 @@ impl<'a> DeltaGraph<'a> {
     /// callers use the distinction to skip label repair and to keep
     /// journals free of dead entries.
     pub fn apply(&mut self, delta: EdgeDelta) -> Result<bool, DeltaError> {
-        delta.validate(self.num_vertices())?;
-        let present = self.has_edge(delta.u, delta.v);
-        let effective = match delta.op {
-            DeltaOp::Insert => !present,
-            DeltaOp::Delete => present,
-        };
-        if !effective {
-            return Ok(false);
-        }
-        for (a, b) in [(delta.u, delta.v), (delta.v, delta.u)] {
-            let adj = self
-                .patched
-                .entry(a)
-                .or_insert_with(|| self.base.neighbors(a).to_vec());
-            match (delta.op, adj.binary_search(&b)) {
-                (DeltaOp::Insert, Err(pos)) => adj.insert(pos, b),
-                (DeltaOp::Delete, Ok(pos)) => {
-                    adj.remove(pos);
-                }
-                // `present` was checked on the merged adjacency, and both
-                // directions stay in lockstep, so these arms cannot occur.
-                _ => {}
-            }
-        }
-        match delta.op {
-            DeltaOp::Insert => self.num_edges = self.num_edges.saturating_add(1),
-            DeltaOp::Delete => self.num_edges = self.num_edges.saturating_sub(1),
-        }
-        Ok(true)
+        self.patch.apply(self.base, delta)
     }
 
     /// Materialises the overlay into an owned, canonical CSR [`Graph`].
     pub fn to_graph(&self) -> Graph {
-        let mut b = GraphBuilder::new();
-        b.reserve_vertices(self.num_vertices());
-        for u in 0..self.num_vertices() as VertexId {
-            for &v in self.neighbors(u) {
-                if u < v {
-                    b.add_edge(u, v);
-                }
-            }
-        }
-        b.build()
+        self.as_dyn_view().to_owned_graph()
     }
 
     /// A borrowed enum view of this overlay for the traversal APIs.
     pub fn as_dyn_view(&self) -> DynGraphView<'_> {
-        DynGraphView::Delta(self)
+        DynGraphView::Patched(self.patched_view())
+    }
+
+    /// A borrowed `Copy` view of this overlay for monomorphised loops.
+    pub fn patched_view(&self) -> PatchedView<'_> {
+        PatchedView {
+            base: self.base,
+            patch: &self.patch,
+        }
     }
 }
 
-/// The enum-dispatched graph view: a frozen CSR or a base+delta overlay.
+/// A base CSR graph with a borrowed [`AdjacencyPatch`] over it: what a
+/// patched generation serves. `Copy`, like [`GraphView`].
+#[derive(Clone, Copy, Debug)]
+pub struct PatchedView<'a> {
+    base: GraphView<'a>,
+    patch: &'a AdjacencyPatch,
+}
+
+impl<'a> PatchedView<'a> {
+    /// Number of vertices.
+    pub fn num_vertices(&self) -> usize {
+        self.base.num_vertices()
+    }
+
+    /// Number of undirected edges.
+    pub fn num_edges(&self) -> usize {
+        (self.base.num_edges() as i64 + self.patch.edge_delta).max(0) as usize
+    }
+
+    /// The sorted neighbour list of `v`: one bit test, then either the
+    /// base CSR slice or the patched list.
+    ///
+    /// # Panics
+    /// Panics if `v` is out of range.
+    #[inline]
+    pub fn neighbors(&self, v: VertexId) -> &'a [VertexId] {
+        match self.patch.get(v) {
+            Some(adj) => adj,
+            None => self.base.neighbors(v),
+        }
+    }
+}
+
+/// Read access to adjacency, for traversal loops that are generic over
+/// the graph form and monomorphised per form (see the module docs).
+pub trait Adjacency: Copy {
+    /// Number of vertices.
+    fn num_vertices(&self) -> usize;
+    /// The sorted neighbour list of `v`.
+    fn neighbors(&self, v: VertexId) -> &[VertexId];
+}
+
+impl Adjacency for GraphView<'_> {
+    #[inline]
+    fn num_vertices(&self) -> usize {
+        GraphView::num_vertices(self)
+    }
+
+    #[inline]
+    fn neighbors(&self, v: VertexId) -> &[VertexId] {
+        GraphView::neighbors(self, v)
+    }
+}
+
+impl Adjacency for PatchedView<'_> {
+    #[inline]
+    fn num_vertices(&self) -> usize {
+        PatchedView::num_vertices(self)
+    }
+
+    #[inline]
+    fn neighbors(&self, v: VertexId) -> &[VertexId] {
+        PatchedView::neighbors(self, v)
+    }
+}
+
+/// The enum-dispatched graph view: a frozen CSR or a patched one.
 ///
 /// `Copy`, like [`GraphView`]. Every BFS oracle in [`crate::bfs`] takes
-/// `impl Into<DynGraphView>`, so owned graphs, mmap'd views, and delta
+/// `impl Into<DynGraphView>`, so owned graphs, mmap'd views, and patched
 /// overlays all run through one traversal implementation; the only cost
-/// is one predictable match per adjacency fetch.
-#[derive(Clone, Copy)]
+/// is one predictable match per adjacency fetch. Hot loops match once and
+/// run generic over [`Adjacency`] instead.
+#[derive(Clone, Copy, Debug)]
 pub enum DynGraphView<'a> {
     /// A frozen CSR graph.
     Csr(GraphView<'a>),
-    /// A base CSR plus an edit overlay.
-    Delta(&'a DeltaGraph<'a>),
+    /// A base CSR plus an edit patch.
+    Patched(PatchedView<'a>),
 }
 
 impl<'a> DynGraphView<'a> {
@@ -271,7 +479,7 @@ impl<'a> DynGraphView<'a> {
     pub fn num_vertices(&self) -> usize {
         match self {
             DynGraphView::Csr(g) => g.num_vertices(),
-            DynGraphView::Delta(d) => d.num_vertices(),
+            DynGraphView::Patched(p) => p.num_vertices(),
         }
     }
 
@@ -279,7 +487,7 @@ impl<'a> DynGraphView<'a> {
     pub fn num_edges(&self) -> usize {
         match self {
             DynGraphView::Csr(g) => g.num_edges(),
-            DynGraphView::Delta(d) => d.num_edges(),
+            DynGraphView::Patched(p) => p.num_edges(),
         }
     }
 
@@ -287,10 +495,11 @@ impl<'a> DynGraphView<'a> {
     ///
     /// # Panics
     /// Panics if `v` is out of range.
+    #[inline]
     pub fn neighbors(&self, v: VertexId) -> &'a [VertexId] {
         match self {
             DynGraphView::Csr(g) => g.neighbors(v),
-            DynGraphView::Delta(d) => d.neighbors(v),
+            DynGraphView::Patched(p) => p.neighbors(v),
         }
     }
 
@@ -300,6 +509,25 @@ impl<'a> DynGraphView<'a> {
     /// Panics if `u` is out of range.
     pub fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
         self.neighbors(u).binary_search(&v).is_ok()
+    }
+
+    /// Materialises the view into an owned, canonical CSR [`Graph`] — the
+    /// checkpoint's copy. Patched lists are sorted and symmetric already,
+    /// so this is one concatenation pass with no sort.
+    pub fn to_owned_graph(&self) -> Graph {
+        let p = match self {
+            DynGraphView::Csr(g) => return g.to_owned_graph(),
+            DynGraphView::Patched(p) => p,
+        };
+        let n = p.num_vertices();
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut neighbors = Vec::with_capacity(2 * p.num_edges());
+        offsets.push(0u64);
+        for v in 0..n as VertexId {
+            neighbors.extend_from_slice(p.neighbors(v));
+            offsets.push(neighbors.len() as u64);
+        }
+        Graph { offsets, neighbors }
     }
 }
 
@@ -315,9 +543,15 @@ impl<'a> From<&'a Graph> for DynGraphView<'a> {
     }
 }
 
+impl<'a> From<PatchedView<'a>> for DynGraphView<'a> {
+    fn from(p: PatchedView<'a>) -> Self {
+        DynGraphView::Patched(p)
+    }
+}
+
 impl<'a> From<&'a DeltaGraph<'a>> for DynGraphView<'a> {
     fn from(d: &'a DeltaGraph<'a>) -> Self {
-        DynGraphView::Delta(d)
+        d.as_dyn_view()
     }
 }
 
@@ -359,6 +593,24 @@ mod tests {
         // The base graph is untouched.
         assert!(g.has_edge(1, 2));
         assert!(!g.has_edge(0, 4));
+    }
+
+    #[test]
+    fn edits_undone_leave_the_patch_empty() {
+        let g = testkit::grid(3, 3);
+        let mut d = DeltaGraph::new(g.as_view());
+        assert!(d.apply(EdgeDelta::insert(0, 8)).unwrap());
+        assert!(d.apply(EdgeDelta::delete(4, 5)).unwrap());
+        assert_eq!(d.patch().patched_vertices(), vec![0, 4, 5, 8]);
+        assert!(matches!(d.as_dyn_view(), DynGraphView::Patched(_)));
+        assert!(d.apply(EdgeDelta::delete(0, 8)).unwrap());
+        assert!(d.apply(EdgeDelta::insert(5, 4)).unwrap());
+        assert!(d.patch().is_empty());
+        assert_eq!(d.num_edges(), g.num_edges());
+        // An empty patch serves the plain CSR.
+        let patch = d.into_patch();
+        assert!(matches!(patch.view(g.as_view()), DynGraphView::Csr(_)));
+        assert_eq!(patch.get(0), None);
     }
 
     #[test]

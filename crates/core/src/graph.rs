@@ -328,8 +328,8 @@ impl<'a> GraphView<'a> {
 /// [`GraphView`], so owned graphs and mmap-backed views share one code path.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Graph {
-    offsets: Vec<u64>,
-    neighbors: Vec<VertexId>,
+    pub(crate) offsets: Vec<u64>,
+    pub(crate) neighbors: Vec<VertexId>,
 }
 
 impl Graph {

@@ -25,9 +25,11 @@
 //!   "is this vertex in the small special set?" probes (one bit per
 //!   vertex instead of a 4-byte table load).
 //! * [`delta`] — the dynamic-graph layer: [`delta::EdgeDelta`] edge edits,
-//!   the [`delta::DeltaGraph`] overlay that applies them without touching
-//!   the frozen CSR, and [`delta::DynGraphView`], the enum-dispatched view
-//!   the BFS oracles accept so traversals run over base+delta unchanged.
+//!   the owned [`delta::AdjacencyPatch`] that records them without
+//!   touching the frozen CSR, the [`delta::DeltaGraph`] overlay that
+//!   applies them, and [`delta::DynGraphView`] / [`delta::Adjacency`], the
+//!   enum-dispatched view and the trait that let traversals run over a
+//!   plain or patched CSR unchanged.
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
@@ -40,5 +42,8 @@ pub mod testkit;
 
 pub use bfs::{BfsProbe, NoProbe};
 pub use bitset::DenseBitSet;
-pub use delta::{DeltaError, DeltaGraph, DeltaOp, DynGraphView, EdgeDelta};
+pub use delta::{
+    Adjacency, AdjacencyPatch, DeltaError, DeltaGraph, DeltaOp, DynGraphView, EdgeDelta,
+    PatchedView, VertexHasher, VertexMap,
+};
 pub use graph::{CsrError, Graph, GraphBuilder, GraphView, VertexId, INFINITY};

@@ -155,6 +155,10 @@ pub struct BuildContext {
     pub(crate) passes: Vec<bool>,
     pub(crate) frontier: Vec<VertexId>,
     pub(crate) next: Vec<VertexId>,
+    /// Repair's dense scratch row: one re-labelled tree's distance per
+    /// vertex, [`INFINITY`](hcl_core::INFINITY) where it holds no entry.
+    /// Empty until the first repair; restored to all-`INFINITY` after use.
+    pub(crate) row: Vec<u32>,
 }
 
 impl BuildContext {
@@ -401,12 +405,12 @@ impl HighwayCoverIndex {
         let t = Instant::now();
         let trees = match &mut contexts[..workers] {
             [] => parallel::label_all(
-                graph.into(),
+                graph,
                 &landmarks,
                 &landmark_rank,
                 &mut [BuildContext::new()],
             ),
-            some => parallel::label_all(graph.into(), &landmarks, &landmark_rank, some),
+            some => parallel::label_all(graph, &landmarks, &landmark_rank, some),
         };
         stats.label_us = t.elapsed().as_micros() as u64;
         stats.landmark_labels = trees.iter().map(|t| t.labelled.len() as u64).collect();
@@ -449,6 +453,7 @@ impl HighwayCoverIndex {
             label_offsets: &self.label_offsets,
             label_entries: self.label_entries.as_entries(),
             highway: &self.highway,
+            patch: None,
         }
     }
 

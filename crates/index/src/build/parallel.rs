@@ -11,7 +11,7 @@
 use super::tree::{label_tree, LandmarkTree};
 use super::BuildContext;
 use crate::select::{checked_select, LandmarkSelector};
-use hcl_core::{DynGraphView, GraphView, VertexId};
+use hcl_core::{GraphView, VertexId};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread::ScopedJoinHandle;
 
@@ -81,7 +81,7 @@ pub(crate) fn run_selection(
 /// sorting the fragments by rank makes the result identical at every
 /// worker count.
 pub(crate) fn label_all(
-    graph: DynGraphView<'_>,
+    graph: GraphView<'_>,
     landmarks: &[VertexId],
     landmark_rank: &[u32],
     contexts: &mut [BuildContext],

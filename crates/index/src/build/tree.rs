@@ -10,7 +10,7 @@
 
 use super::{BuildContext, HighwayCoverIndex, NOT_A_LANDMARK};
 use crate::view::{fits_narrow, LabelVec, LabelWord};
-use hcl_core::{DynGraphView, VertexId, INFINITY};
+use hcl_core::{Adjacency, VertexId, INFINITY};
 
 /// One landmark's tree: its labelled vertices and its exact highway row.
 pub(crate) struct LandmarkTree {
@@ -30,13 +30,16 @@ pub(crate) struct LandmarkTree {
 
 /// Labels the tree of the landmark of rank `rank`.
 ///
+/// Generic over the graph form, so the build's CSR and the repair's
+/// patched graph each run a monomorphised loop.
+///
 /// Level-synchronous BFS: a vertex's flag is final once every vertex one
 /// level up has been expanded, because its flag is the OR of its parents'
 /// flags, and a non-root landmark sets its own. Once a whole level is
 /// flagged every deeper vertex is too, so the search stops as soon as that
 /// holds and every landmark's depth is known.
-pub(crate) fn label_tree(
-    graph: DynGraphView<'_>,
+pub(crate) fn label_tree<G: Adjacency>(
+    graph: G,
     landmarks: &[VertexId],
     landmark_rank: &[u32],
     rank: usize,
@@ -62,6 +65,7 @@ pub(crate) fn label_tree(
         passes,
         frontier,
         next,
+        ..
     } = cx;
     frontier.clear();
     scratch.dist[root as usize] = 0;

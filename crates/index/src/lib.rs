@@ -66,6 +66,6 @@ pub use build::{
 };
 pub use probe::{AnswerSource, MergeKind, Probe, QueryStats};
 pub use query::QueryContext;
-pub use repair::{DynamicIndex, RepairOutcome};
+pub use repair::{repair, DynamicIndex, RepairOutcome};
 pub use select::{ApproxCoverage, DegreeRank, LandmarkSelector, SeededRandom, SelectionStrategy};
-pub use view::{IndexDataError, IndexView, LabelEntries, LabelWord};
+pub use view::{IndexDataError, IndexView, LabelEntries, LabelPatch, LabelWord};

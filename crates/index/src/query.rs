@@ -36,7 +36,7 @@
 use crate::build::HighwayCoverIndex;
 use crate::probe::Probe;
 use crate::view::{IndexView, LabelEntries, LabelWord};
-use hcl_core::{DenseBitSet, Graph, GraphView, NoProbe, VertexId, INFINITY};
+use hcl_core::{Adjacency, DenseBitSet, DynGraphView, Graph, NoProbe, VertexId, INFINITY};
 
 const INF64: u64 = u64::MAX;
 
@@ -179,7 +179,7 @@ impl<'a> IndexView<'a> {
     /// yields meaningless answers — always query with the build graph.
     pub fn query_with<'g>(
         &self,
-        graph: impl Into<GraphView<'g>>,
+        graph: impl Into<DynGraphView<'g>>,
         ctx: &mut QueryContext,
         u: VertexId,
         v: VertexId,
@@ -198,7 +198,7 @@ impl<'a> IndexView<'a> {
     /// Same contract as [`query_with`](Self::query_with).
     pub fn query_probed<'g, P: Probe>(
         &self,
-        graph: impl Into<GraphView<'g>>,
+        graph: impl Into<DynGraphView<'g>>,
         ctx: &mut QueryContext,
         u: VertexId,
         v: VertexId,
@@ -218,11 +218,24 @@ impl<'a> IndexView<'a> {
             return Some(0);
         }
 
-        let bound = match self.label_entries {
-            LabelEntries::Narrow(words) => self.label_upper_bound(words, u, v, probe),
-            LabelEntries::Wide(words) => self.label_upper_bound(words, u, v, probe),
+        let bound = match (self.label_entries, self.patch.is_some()) {
+            (LabelEntries::Narrow(w), false) => {
+                self.label_upper_bound(self.base_words(w, u), self.base_words(w, v), probe)
+            }
+            (LabelEntries::Wide(w), false) => {
+                self.label_upper_bound(self.base_words(w, u), self.base_words(w, v), probe)
+            }
+            (LabelEntries::Narrow(w), true) => {
+                self.label_upper_bound(self.words(w, u), self.words(w, v), probe)
+            }
+            (LabelEntries::Wide(w), true) => {
+                self.label_upper_bound(self.words(w, u), self.words(w, v), probe)
+            }
         };
-        let best = self.residual_bfs(graph, ctx, u, v, bound, probe);
+        let best = match graph {
+            DynGraphView::Csr(g) => self.residual_bfs(g, ctx, u, v, bound, probe),
+            DynGraphView::Patched(g) => self.residual_bfs(g, ctx, u, v, bound, probe),
+        };
         probe.query_done(false, bound, best);
         if best == INF64 {
             None
@@ -235,24 +248,7 @@ impl<'a> IndexView<'a> {
     ///
     /// Exact whenever some shortest `u`–`v` path passes through a landmark;
     /// `u64::MAX` when the labels certify nothing.
-    fn label_upper_bound<W: LabelWord, P: Probe>(
-        &self,
-        words: &[W],
-        u: VertexId,
-        v: VertexId,
-        probe: &mut P,
-    ) -> u64 {
-        let (u_lo, u_hi) = (
-            self.label_offsets[u as usize] as usize,
-            self.label_offsets[u as usize + 1] as usize,
-        );
-        let (v_lo, v_hi) = (
-            self.label_offsets[v as usize] as usize,
-            self.label_offsets[v as usize + 1] as usize,
-        );
-        let lu = &words[u_lo..u_hi];
-        let lv = &words[v_lo..v_hi];
-
+    fn label_upper_bound<W: LabelWord, P: Probe>(&self, lu: &[W], lv: &[W], probe: &mut P) -> u64 {
         // All sums below run in u64 so `u32`-sized operands cannot wrap,
         // and INFINITY-valued operands are skipped outright: a label or
         // highway entry at the sentinel certifies nothing, and treating it
@@ -323,9 +319,9 @@ impl<'a> IndexView<'a> {
     /// frontier is never missed. The search stops as soon as the two
     /// frontier depths certify that no undiscovered landmark-free path can
     /// beat the current best.
-    fn residual_bfs<P: Probe>(
+    fn residual_bfs<G: Adjacency, P: Probe>(
         &self,
-        graph: GraphView<'_>,
+        graph: G,
         ctx: &mut QueryContext,
         u: VertexId,
         v: VertexId,

@@ -24,10 +24,20 @@
 //! Untrusted data enters through [`IndexView::from_parts`], which checks
 //! every structural invariant the query engine relies on, so hot paths can
 //! index unchecked without risking panics on corrupt input.
+//!
+//! A view may also carry a [`LabelPatch`]: the rewritten label lists of
+//! the vertices an edge edit relabelled, in the base's entry width, plus a
+//! highway copy once an edit changed it. [`IndexView::with_patch`] pairs a
+//! flat base with a patch; [`IndexView::label`], the query's label fetch
+//! and the highway read then serve the patched state, while
+//! [`label_offsets`](IndexView::label_offsets) and
+//! [`label_entries`](IndexView::label_entries) keep describing the flat
+//! base arrays. [`IndexView::to_owned_index`] flattens base + patch.
 
 use crate::build::{HighwayCoverIndex, IndexStats, NOT_A_LANDMARK};
-use hcl_core::VertexId;
+use hcl_core::{DenseBitSet, VertexId, VertexMap};
 use std::fmt;
+use std::sync::Arc;
 
 /// One packed `(hub rank, distance)` label entry: the hub in the high half
 /// of the word, the distance in the low half. Hub-sorted entry sequences
@@ -91,6 +101,155 @@ pub(crate) fn fits_narrow(k: usize, max_dist: u32) -> bool {
     k <= 1 << 16 && max_dist <= u32::from(u16::MAX)
 }
 
+/// A label word a [`LabelPatch`] can hold: the patch keeps its lists in
+/// the base's width, one map per width.
+pub(crate) trait PatchWord: LabelWord {
+    /// The largest distance a word of this width holds.
+    const MAX_DIST: u32;
+    /// The patch's lists of this width.
+    fn lists(patch: &LabelPatch) -> &VertexMap<Vec<Self>>;
+    /// The patch's lists of this width, mutably.
+    fn lists_mut(patch: &mut LabelPatch) -> &mut VertexMap<Vec<Self>>;
+}
+
+impl PatchWord for u32 {
+    const MAX_DIST: u32 = u16::MAX as u32;
+
+    fn lists(patch: &LabelPatch) -> &VertexMap<Vec<Self>> {
+        &patch.narrow
+    }
+
+    fn lists_mut(patch: &mut LabelPatch) -> &mut VertexMap<Vec<Self>> {
+        &mut patch.narrow
+    }
+}
+
+impl PatchWord for u64 {
+    const MAX_DIST: u32 = u32::MAX;
+
+    fn lists(patch: &LabelPatch) -> &VertexMap<Vec<Self>> {
+        &patch.wide
+    }
+
+    fn lists_mut(patch: &mut LabelPatch) -> &mut VertexMap<Vec<Self>> {
+        &mut patch.wide
+    }
+}
+
+/// Owned label edits over a flat base index: the rewritten, hub-sorted
+/// label list of every vertex whose label differs from the base, a copy
+/// of the highway once an edit changed it, and a dense bitset marking the
+/// patched vertices so an unpatched one costs one bit test.
+///
+/// Lists are kept in the base's entry width. When a repair produces a
+/// distance the base's narrow words cannot hold, the patch *folds*: base
+/// and patch are flattened into a fresh wide index that the patch owns
+/// and every later list is relative to (see [`crate::repair::repair`]).
+/// A patch does not hold its base; pair it with the base it was built
+/// over through [`IndexView::with_patch`]. Cloning costs
+/// `O(patched entries)` plus `n / 64` words for the bitset (a folded
+/// index is shared, not copied).
+#[derive(Clone, Default)]
+pub struct LabelPatch {
+    /// Bit `v` set iff `v` has a list in `narrow` or `wide`.
+    patched: DenseBitSet,
+    /// Rewritten lists over a narrow base.
+    narrow: VertexMap<Vec<u32>>,
+    /// Rewritten lists over a wide base.
+    wide: VertexMap<Vec<u64>>,
+    /// The current row-major highway, once an edit changed it.
+    pub(crate) highway: Option<Vec<u32>>,
+    /// The flattened state that replaced the base at a width fold.
+    pub(crate) folded: Option<Arc<HighwayCoverIndex>>,
+}
+
+impl fmt::Debug for LabelPatch {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("LabelPatch")
+            .field("patched", &self.num_patched())
+            .field("highway", &self.highway.is_some())
+            .field("folded", &self.folded.is_some())
+            .finish()
+    }
+}
+
+impl LabelPatch {
+    /// A patch with no edits.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of vertices whose label differs from the base.
+    pub fn num_patched(&self) -> usize {
+        self.narrow.len() + self.wide.len()
+    }
+
+    /// The patched vertices, ascending.
+    pub fn patched_vertices(&self) -> Vec<VertexId> {
+        let mut vertices: Vec<VertexId> = self.vertices().collect();
+        vertices.sort_unstable();
+        vertices
+    }
+
+    /// The patched vertices, in no particular order.
+    fn vertices(&self) -> impl Iterator<Item = VertexId> + '_ {
+        self.narrow.keys().chain(self.wide.keys()).copied()
+    }
+
+    /// Whether the patch carries a highway copy (an edit changed a
+    /// landmark-to-landmark distance).
+    pub fn has_highway(&self) -> bool {
+        self.highway.is_some()
+    }
+
+    /// Whether the patch changes nothing.
+    pub fn is_empty(&self) -> bool {
+        self.num_patched() == 0 && self.highway.is_none() && self.folded.is_none()
+    }
+
+    /// The rewritten list of `v` in width `W`, or `None` when `v` serves
+    /// its base list. The dense bit is tested before the map is.
+    #[inline]
+    pub(crate) fn get<W: PatchWord>(&self, v: VertexId) -> Option<&[W]> {
+        if !self.patched.contains(v as usize) {
+            return None;
+        }
+        W::lists(self).get(&v).map(Vec::as_slice)
+    }
+
+    /// Sizes the patched-vertex bitset for an `n`-vertex base.
+    pub(crate) fn ensure_universe(&mut self, n: usize) {
+        if self.patched.len() < n {
+            self.patched.reset(n);
+            for &v in self.narrow.keys().chain(self.wide.keys()) {
+                self.patched.insert(v as usize);
+            }
+        }
+    }
+
+    /// Makes `list` the label of `v`, or drops `v`'s list when `list`
+    /// equals its base list `base`.
+    pub(crate) fn set<W: PatchWord>(&mut self, v: VertexId, list: Vec<W>, base: &[W]) {
+        if list == base {
+            W::lists_mut(self).remove(&v);
+            self.patched.remove(v as usize);
+        } else {
+            W::lists_mut(self).insert(v, list);
+            self.patched.insert(v as usize);
+        }
+    }
+
+    /// Replaces the base with `index`, the flattened current state: every
+    /// list and the highway copy are folded into it.
+    pub(crate) fn fold(&mut self, index: HighwayCoverIndex) {
+        self.narrow.clear();
+        self.wide.clear();
+        self.patched.reset(index.num_vertices());
+        self.highway = None;
+        self.folded = Some(Arc::new(index));
+    }
+}
+
 /// The flat label entries of an index: narrow `u32` or wide `u64` words
 /// (see the module docs for which one an index uses).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -143,6 +302,18 @@ impl<'a> LabelEntries<'a> {
     fn range(self, lo: usize, hi: usize) -> impl Iterator<Item = (u32, u32)> + 'a {
         (lo..hi).map(move |i| self.get(i))
     }
+
+    /// The distance stored for hub `hub`, if any (entries hub-sorted).
+    pub(crate) fn find(self, hub: u32) -> Option<u32> {
+        fn find<W: LabelWord>(words: &[W], hub: u32) -> Option<u32> {
+            let pos = words.partition_point(|w| w.hub() < hub);
+            words.get(pos).filter(|w| w.hub() == hub).map(|w| w.dist())
+        }
+        match self {
+            Self::Narrow(w) => find(w, hub),
+            Self::Wide(w) => find(w, hub),
+        }
+    }
 }
 
 /// Owned label entries, in the width the labels call for.
@@ -154,10 +325,11 @@ pub(crate) enum LabelVec {
 impl LabelVec {
     /// Packs `total` hub-sorted `(hub, dist)` pairs over `k` landmarks
     /// into the width [`fits_narrow`] picks for their largest distance
-    /// `max_dist`.
+    /// `max_dist`, or into wide words regardless when `wide` is set.
     pub(crate) fn pack(
         k: usize,
         max_dist: u32,
+        wide: bool,
         total: usize,
         pairs: impl Iterator<Item = (u32, u32)>,
     ) -> Self {
@@ -166,7 +338,7 @@ impl LabelVec {
             words.extend(pairs.map(|(h, d)| W::pack(h, d)));
             words
         }
-        if fits_narrow(k, max_dist) {
+        if !wide && fits_narrow(k, max_dist) {
             Self::Narrow(collect(total, pairs))
         } else {
             Self::Wide(collect(total, pairs))
@@ -336,8 +508,11 @@ pub struct IndexView<'a> {
     /// Packed label words, hub-ascending (hence integer-ascending) within
     /// each vertex.
     pub(crate) label_entries: LabelEntries<'a>,
-    /// Row-major `k × k` exact landmark-to-landmark distances.
+    /// Row-major `k × k` exact landmark-to-landmark distances (the
+    /// patch's copy when it has one).
     pub(crate) highway: &'a [u32],
+    /// Label edits over the flat arrays above; `None` for a plain index.
+    pub(crate) patch: Option<&'a LabelPatch>,
 }
 
 impl<'a> IndexView<'a> {
@@ -389,6 +564,50 @@ impl<'a> IndexView<'a> {
             label_offsets,
             label_entries,
             highway,
+            patch: None,
+        }
+    }
+
+    /// This (plain, flat) view with `patch`'s edits over it — the state a
+    /// patched generation serves. Labels and the highway read through the
+    /// patch; a folded patch replaces the flat arrays with its own index.
+    /// An empty patch yields the plain view, so queries run the plain
+    /// path.
+    pub fn with_patch(self, patch: &'a LabelPatch) -> Self {
+        let mut view = match &patch.folded {
+            Some(index) => index.as_view(),
+            None => self,
+        };
+        if let Some(highway) = &patch.highway {
+            view.highway = highway;
+        }
+        view.patch = (patch.num_patched() > 0).then_some(patch);
+        view
+    }
+
+    /// The flat base label of `v` in width `W`.
+    #[inline]
+    pub(crate) fn base_words<W: LabelWord>(&self, words: &'a [W], v: VertexId) -> &'a [W] {
+        let lo = self.label_offsets[v as usize] as usize;
+        let hi = self.label_offsets[v as usize + 1] as usize;
+        &words[lo..hi]
+    }
+
+    /// The current label of `v` in width `W`: the patch's list when `v`
+    /// is patched, the base's otherwise.
+    #[inline]
+    pub(crate) fn words<W: PatchWord>(&self, words: &'a [W], v: VertexId) -> &'a [W] {
+        match self.patch.and_then(|p| p.get::<W>(v)) {
+            Some(list) => list,
+            None => self.base_words(words, v),
+        }
+    }
+
+    /// The current label of `v` as a one-vertex [`LabelEntries`].
+    pub(crate) fn label_words(&self, v: VertexId) -> LabelEntries<'a> {
+        match self.label_entries {
+            LabelEntries::Narrow(w) => LabelEntries::Narrow(self.words(w, v)),
+            LabelEntries::Wide(w) => LabelEntries::Wide(self.words(w, v)),
         }
     }
 
@@ -475,11 +694,23 @@ impl<'a> IndexView<'a> {
         self.landmark_rank.len()
     }
 
-    /// The `(hub rank, distance)` label entries of vertex `v`, hub-sorted.
+    /// The `(hub rank, distance)` label entries of vertex `v`, hub-sorted
+    /// (through the patch, if any).
     pub fn label(&self, v: VertexId) -> impl Iterator<Item = (u32, u32)> + 'a {
-        let lo = self.label_offsets[v as usize] as usize;
-        let hi = self.label_offsets[v as usize + 1] as usize;
-        self.label_entries.range(lo, hi)
+        self.label_words(v).iter()
+    }
+
+    /// Total label entries: the flat base's, adjusted by the patch.
+    pub fn num_label_entries(&self) -> usize {
+        let base = self.label_entries.len();
+        let Some(patch) = self.patch else {
+            return base;
+        };
+        patch.vertices().fold(base, |total, v| {
+            let lo = self.label_offsets[v as usize] as usize;
+            let hi = self.label_offsets[v as usize + 1] as usize;
+            total - (hi - lo) + self.label_words(v).len()
+        })
     }
 
     /// Whether vertex `v` is a landmark.
@@ -497,47 +728,72 @@ impl<'a> IndexView<'a> {
         self.landmark_rank
     }
 
-    /// CSR label offsets, `n + 1` entries (for serialisation).
+    /// CSR label offsets of the flat base, `n + 1` entries (for
+    /// serialisation; a patch's lists are not in them).
     pub fn label_offsets(&self) -> &'a [u64] {
         self.label_offsets
     }
 
-    /// Flat packed label words, narrow or wide (for serialisation).
+    /// Flat packed label words of the base, narrow or wide (for
+    /// serialisation; a patch's lists are not in them).
     pub fn label_entries(&self) -> LabelEntries<'a> {
         self.label_entries
     }
 
-    /// Row-major `k × k` highway matrix (for serialisation).
+    /// Row-major `k × k` highway matrix (the patched one, if any).
     pub fn highway(&self) -> &'a [u32] {
         self.highway
     }
 
     /// Copies the view into an owned [`HighwayCoverIndex`], in the entry
     /// width its labels call for (a wide view whose labels fit narrow
-    /// words comes out narrow).
+    /// words comes out narrow). A patched view is flattened: this is the
+    /// checkpoint's copy of base + patch.
     pub fn to_owned_index(&self) -> HighwayCoverIndex {
-        let entries = self.label_entries;
-        let max_dist = entries.iter().map(|(_, d)| d).max().unwrap_or(0);
+        self.flatten(false)
+    }
+
+    /// [`to_owned_index`](Self::to_owned_index), forced to wide words
+    /// when `wide` is set (a width fold).
+    pub(crate) fn flatten(&self, wide: bool) -> HighwayCoverIndex {
+        let k = self.landmarks.len();
+        let (label_offsets, label_entries) = match self.patch {
+            None => {
+                let entries = self.label_entries;
+                let max_dist = entries.iter().map(|(_, d)| d).max().unwrap_or(0);
+                let packed = LabelVec::pack(k, max_dist, wide, entries.len(), entries.iter());
+                (self.label_offsets.to_vec(), packed)
+            }
+            Some(_) => {
+                let n = self.num_vertices();
+                let mut offsets = Vec::with_capacity(n + 1);
+                offsets.push(0u64);
+                let (mut total, mut max_dist) = (0usize, 0u32);
+                for v in 0..n as VertexId {
+                    let label = self.label_words(v);
+                    total += label.len();
+                    offsets.push(total as u64);
+                    max_dist = label.iter().fold(max_dist, |m, (_, d)| m.max(d));
+                }
+                let pairs = (0..n as VertexId).flat_map(|v| self.label_words(v).iter());
+                (offsets, LabelVec::pack(k, max_dist, wide, total, pairs))
+            }
+        };
         HighwayCoverIndex {
             landmarks: self.landmarks.to_vec(),
             landmark_rank: self.landmark_rank.to_vec(),
-            label_offsets: self.label_offsets.to_vec(),
-            label_entries: LabelVec::pack(
-                self.landmarks.len(),
-                max_dist,
-                entries.len(),
-                entries.iter(),
-            ),
+            label_offsets,
+            label_entries,
             highway: self.highway.to_vec(),
         }
     }
 
-    /// Size statistics for logging and tuning.
+    /// Size statistics for logging and tuning (of base + patch).
     pub fn stats(&self) -> IndexStats {
-        let total = self.label_entries.len();
+        let total = self.num_label_entries();
         let n = self.num_vertices();
-        let max = (0..n)
-            .map(|v| (self.label_offsets[v + 1] - self.label_offsets[v]) as usize)
+        let max = (0..n as VertexId)
+            .map(|v| self.label_words(v).len())
             .max()
             .unwrap_or(0);
         let bytes = std::mem::size_of_val(self.landmarks)

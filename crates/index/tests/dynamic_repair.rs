@@ -3,7 +3,10 @@
 //! after **every** step that the repaired index is byte-identical to a
 //! fresh build of the edited graph over the same landmark set — offsets,
 //! entries and highway — and answers like the BFS oracle on a sampled pair
-//! set, at 1 and 4 build threads.
+//! set, at 1 and 4 build threads. The patches are checked for minimality
+//! at every step too: the label patch holds exactly the vertices whose
+//! rebuilt label differs from the base, the adjacency patch exactly the
+//! vertices whose neighbour list does, and an edit undone empties both.
 
 use hcl_core::testkit::{families, SplitMix64};
 use hcl_core::{bfs, DeltaGraph, EdgeDelta, GraphView, VertexId};
@@ -72,7 +75,9 @@ fn run_script(name: &str, base: &hcl_core::Graph, threads: usize, k: usize, seed
         assert_eq!(rep.label_offsets(), reb.label_offsets(), "{at}: offsets");
         assert_eq!(rep.label_entries(), reb.label_entries(), "{at}: entries");
         assert_eq!(rep.highway(), reb.highway(), "{at}: highway");
+        assert_patches_minimal(base, &built, &graph, &dynamic, &edited, &rebuilt, &at);
         let mut cx_rep = QueryContext::new();
+        let mut cx_patched = QueryContext::new();
         let mut cx_reb = QueryContext::new();
         let mut oracle_scratch = bfs::BfsScratch::new();
         let mut pair_rng = SplitMix64::new(seed ^ (step as u64).wrapping_mul(0x9e37));
@@ -93,6 +98,11 @@ fn run_script(name: &str, base: &hcl_core::Graph, threads: usize, k: usize, seed
                 got, want,
                 "{at}: repaired vs rebuilt diverged on ({a}, {b})"
             );
+            // The patched path (base + patches, nothing flattened) too.
+            let patched = dynamic
+                .view()
+                .query_with(graph.as_dyn_view(), &mut cx_patched, a, b);
+            assert_eq!(patched, want, "{at}: patched query diverged on ({a}, {b})");
             // Spot-check against ground truth too, so a bug shared by
             // repair and rebuild cannot slip through as "identical".
             if c % 7 == 0 {
@@ -101,6 +111,90 @@ fn run_script(name: &str, base: &hcl_core::Graph, threads: usize, k: usize, seed
                     got, truth,
                     "{at}: repaired answer wrong vs oracle on ({a}, {b})"
                 );
+            }
+        }
+    }
+}
+
+/// The patch-minimality oracle: the label patch holds exactly the
+/// vertices whose rebuilt label differs from the base's, and the
+/// adjacency patch exactly those whose neighbour list differs.
+fn assert_patches_minimal(
+    base: &hcl_core::Graph,
+    built: &HighwayCoverIndex,
+    graph: &DeltaGraph<'_>,
+    dynamic: &DynamicIndex,
+    edited: &hcl_core::Graph,
+    rebuilt: &HighwayCoverIndex,
+    at: &str,
+) {
+    let n = base.num_vertices() as VertexId;
+    let relabelled: Vec<VertexId> = (0..n)
+        .filter(|&v| !built.label(v).eq(rebuilt.label(v)))
+        .collect();
+    assert_eq!(
+        dynamic.patch().patched_vertices(),
+        relabelled,
+        "{at}: label patch is not the set of relabelled vertices"
+    );
+    let rewired: Vec<VertexId> = (0..n)
+        .filter(|&v| base.neighbors(v) != edited.neighbors(v))
+        .collect();
+    assert_eq!(
+        graph.patch().patched_vertices(),
+        rewired,
+        "{at}: adjacency patch is not the set of rewired vertices"
+    );
+    assert_eq!(
+        dynamic.patch().has_highway(),
+        built.as_view().highway() != rebuilt.as_view().highway(),
+        "{at}: highway copy held iff the highway changed"
+    );
+}
+
+/// An edge inserted and deleted again (or deleted and re-inserted)
+/// leaves both patches empty, at k ∈ {4, 8} and 1 and 4 build threads.
+#[test]
+fn undone_edits_leave_both_patches_empty() {
+    for threads in [1, 4] {
+        for (name, base) in families() {
+            let n = base.num_vertices() as VertexId;
+            if n < 3 {
+                continue;
+            }
+            for k in [4, 8] {
+                let options = BuildOptions {
+                    num_landmarks: k.min(n as usize),
+                    threads,
+                    ..Default::default()
+                };
+                let built = HighwayCoverIndex::build_with(&base, &options);
+                let mut dynamic = DynamicIndex::from_view(built.as_view());
+                let mut graph = DeltaGraph::new(base.as_view());
+                let mut cx = BuildContext::new();
+                let mut rng = SplitMix64::new(0x0DD5 ^ u64::from(n) ^ k as u64);
+                for _ in 0..6 {
+                    let u = rng.next_below(u64::from(n)) as VertexId;
+                    let v = (u + 1 + rng.next_below(u64::from(n) - 1) as VertexId) % n;
+                    let (first, undo) = if graph.has_edge(u, v) {
+                        (EdgeDelta::delete(u, v), EdgeDelta::insert(u, v))
+                    } else {
+                        (EdgeDelta::insert(u, v), EdgeDelta::delete(u, v))
+                    };
+                    for delta in [first, undo] {
+                        let outcome = dynamic.apply_and_repair(&mut graph, delta, &mut cx);
+                        assert!(outcome.unwrap().applied, "[{name}] {delta}");
+                    }
+                    let at = format!("[{name}] k={k} threads {threads} ({first} undone)");
+                    assert!(graph.patch().is_empty(), "{at}: adjacency patch left");
+                    assert!(dynamic.patch().is_empty(), "{at}: label patch left");
+                    let flat = dynamic.to_index();
+                    assert_eq!(
+                        flat.as_view().label_entries(),
+                        built.as_view().label_entries(),
+                        "{at}: entries"
+                    );
+                }
             }
         }
     }

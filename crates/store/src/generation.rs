@@ -13,10 +13,9 @@
 //! re-opens, handle swaps — never exposes a torn or truncated view.
 //!
 //! Live updates publish through the same swap, without a container
-//! image: [`IndexStore::with_live`] wraps the update engine's owned graph
-//! and index (both `Arc`s) in a store that shares the current
-//! generation's validated base bytes, so a swap copies and re-parses
-//! nothing. Durability is the engine's business — a WAL frame or a
+//! image: [`IndexStore::with_patch`] wraps the update engine's committed
+//! [`Patch`](crate::Patch) (an `Arc`) in a store that shares the
+//! validated base bytes, so a swap copies and re-parses nothing. Durability is the engine's business — a WAL frame or a
 //! checkpoint is on disk before it swaps.
 //!
 //! The handle is deliberately storage-level: it knows nothing about

@@ -41,6 +41,20 @@
 //! Platforms without the mmap fast path (or callers preferring a private
 //! copy) get the same API via [`IndexStore::open_preloaded`] /
 //! [`IndexStore::from_bytes`], which read into an aligned heap buffer.
+//!
+//! # Live state: base + patch
+//!
+//! A store is its validated **base** — the container's sections, mapped
+//! or in an aligned buffer, behind an `Arc` — plus an optional owned
+//! [`Patch`]: the adjacency lists and labels that edge edits changed,
+//! the edge count, and a highway copy once an edit changed it. Opening a
+//! file with pending deltas (a v6 journal section, a delta WAL) replays
+//! them into a patch over the base; a live update publishes a generation
+//! with [`IndexStore::with_patch`], which shares the base and clones
+//! nothing but the patch. [`IndexStore::graph`] and
+//! [`IndexStore::index`] serve base + patch; the full graph and index are
+//! materialised only when a checkpoint writes a new container
+//! ([`IndexStore::to_owned_parts`], [`checkpoint`]).
 #![deny(missing_docs)]
 // All unsafe in this crate is confined to `backing.rs` (mmap FFI and the
 // aligned-buffer casts); inside an unsafe fn every unsafe operation must
@@ -70,9 +84,8 @@ pub use hcl_index::SelectionStrategy;
 
 use backing::{cast_u32s, cast_u64s, AlignedBuf, Backing};
 use format::{LabelRanges, Layout};
-use hcl_core::{DeltaGraph, EdgeDelta, Graph, GraphView, VertexId};
-use hcl_index::repair::DynamicIndex;
-use hcl_index::{BuildContext, HighwayCoverIndex, IndexView, LabelEntries};
+use hcl_core::{AdjacencyPatch, DeltaGraph, DynGraphView, EdgeDelta, Graph, GraphView, VertexId};
+use hcl_index::{BuildContext, HighwayCoverIndex, IndexView, LabelEntries, LabelPatch};
 use std::fs::File;
 use std::path::Path;
 use std::sync::Arc;
@@ -253,30 +266,53 @@ enum OpenMode {
     Trusted,
 }
 
+/// The edits a generation serves over its container's base sections:
+/// adjacency ([`AdjacencyPatch`]) and labels ([`LabelPatch`]). Both are
+/// minimal — they hold exactly the vertices whose list differs from the
+/// base — so a patch costs memory in proportion to what the edits
+/// changed, not to the graph.
+#[derive(Clone, Debug, Default)]
+pub struct Patch {
+    /// Adjacency edits and the edge count.
+    pub graph: AdjacencyPatch,
+    /// Label edits and the highway copy.
+    pub labels: LabelPatch,
+}
+
+impl Patch {
+    /// A patch with no edits.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Whether the patch changes nothing.
+    pub fn is_empty(&self) -> bool {
+        self.graph.is_empty() && self.labels.is_empty()
+    }
+}
+
 /// An opened, validated `.hcl` container serving borrowed graph and index
 /// views.
 ///
 /// All validation (header, checksum, section geometry, CSR and labelling
-/// invariants) happens in the constructors; afterwards [`graph`]
-/// (IndexStore::graph) and [`index`](IndexStore::index) are pointer
-/// arithmetic over the backing bytes. The store must outlive the views it
+/// invariants) happens in the constructors; afterwards
+/// [`graph`](IndexStore::graph) and [`index`](IndexStore::index) are
+/// pointer arithmetic over the backing bytes (plus the patch, if any). The store must outlive the views it
 /// hands out, which the borrow checker enforces.
 ///
-/// The validated base is shared: [`with_live`](IndexStore::with_live)
-/// makes another store over the same bytes that serves owned live parts,
-/// which is how a live update publishes a generation without writing or
-/// re-parsing a container.
+/// The validated base is shared: [`with_patch`](IndexStore::with_patch)
+/// makes another store over the same bytes that serves a [`Patch`] over
+/// them, which is how a live update publishes a generation without
+/// writing, re-parsing or copying a container.
 pub struct IndexStore {
     base: Arc<Base>,
     /// The delta WAL found beside the file at open (`None` when there
     /// was none, or the store was not opened from a path).
     wal: Option<WalInfo>,
-    /// Current graph/index when it differs from the base sections: the
-    /// journal and WAL replayed at open, or live parts handed to
-    /// [`with_live`](IndexStore::with_live). When present,
-    /// [`IndexStore::graph`] and [`IndexStore::index`] serve these instead
-    /// of the (older) base sections.
-    replayed: Option<ReplayedState>,
+    /// The edits over the base sections: the journal and WAL replayed at
+    /// open, or a patch handed to [`with_patch`](IndexStore::with_patch).
+    /// `None` when the base sections are the current state.
+    patch: Option<Arc<Patch>>,
 }
 
 /// The immutable, validated container every store over it shares.
@@ -286,12 +322,6 @@ struct Base {
     /// The decoded delta journal (`None` when the file has no journal
     /// section).
     journal: Option<StoredJournal>,
-}
-
-/// Owned current state: base sections plus replayed or live deltas.
-struct ReplayedState {
-    graph: Arc<Graph>,
-    index: Arc<HighwayCoverIndex>,
 }
 
 impl std::fmt::Debug for IndexStore {
@@ -399,80 +429,78 @@ impl IndexStore {
     }
 
     /// Replays the journal section and then the WAL's deltas over the
-    /// base sections — applying each edit to a delta overlay and
-    /// repairing the labels incrementally — so the store serves
-    /// *current* state. A delta that cannot be applied is a hard error:
-    /// silently dropping edits would serve stale answers as if they were
-    /// current.
+    /// base sections into a [`Patch`] — applying each edit to the
+    /// adjacency patch and repairing the labels incrementally — so the
+    /// store serves *current* state without copying the base. A delta
+    /// that cannot be applied is a hard error: silently dropping edits
+    /// would serve stale answers as if they were current.
     fn replay(base: Base, wal: Option<wal::WalScan>) -> Result<Self, StoreError> {
         let journal: &[EdgeDelta] = base.journal.as_ref().map_or(&[], |j| &j.deltas);
         let logged: &[EdgeDelta] = wal.as_ref().map_or(&[], |w| &w.deltas);
-        let replayed = if journal.is_empty() && logged.is_empty() {
-            None
-        } else {
+        let mut patch = Patch::new();
+        if !journal.is_empty() || !logged.is_empty() {
             let mut overlay = DeltaGraph::new(base.graph());
-            let mut dynamic = DynamicIndex::from_view(base.index());
             let mut cx = BuildContext::new();
             let sources = [("journal", journal), ("WAL", logged)];
             for (source, deltas) in sources {
                 for (i, &delta) in deltas.iter().enumerate() {
-                    dynamic
-                        .apply_and_repair(&mut overlay, delta, &mut cx)
-                        .map_err(|e| StoreError::Corrupt {
-                            what: format!("{source} delta {i} ({delta}) cannot be applied: {e}"),
-                        })?;
+                    hcl_index::repair(
+                        base.index(),
+                        &mut patch.labels,
+                        &mut overlay,
+                        delta,
+                        &mut cx,
+                    )
+                    .map_err(|e| StoreError::Corrupt {
+                        what: format!("{source} delta {i} ({delta}) cannot be applied: {e}"),
+                    })?;
                 }
             }
-            Some(ReplayedState {
-                graph: Arc::new(overlay.to_graph()),
-                index: Arc::new(dynamic.to_index()),
-            })
-        };
+            patch.graph = overlay.into_patch();
+        }
         Ok(Self {
             base: Arc::new(base),
             wal: wal.map(|w| w.info),
-            replayed,
+            patch: (!patch.is_empty()).then(|| Arc::new(patch)),
         })
     }
 
     /// Another store over this store's validated base bytes that serves
-    /// `graph` and `index` as its current state — the generation a live
+    /// `patch` over them as its current state — the generation a live
     /// update publishes. Nothing is copied or re-parsed: the base is
-    /// shared, the parts are shared. [`verify_checksum`](
+    /// shared, the patch is shared. [`verify_checksum`](
     /// IndexStore::verify_checksum), [`meta`](IndexStore::meta) and the
     /// `base_*` accessors keep describing the base bytes; the new store
-    /// reports no WAL.
-    ///
-    /// # Panics
-    /// Panics if `graph` and `index` disagree on the vertex count.
-    pub fn with_live(&self, graph: Arc<Graph>, index: Arc<HighwayCoverIndex>) -> Self {
-        assert_eq!(
-            graph.num_vertices(),
-            index.num_vertices(),
-            "live graph and index disagree on the vertex count"
-        );
+    /// reports no WAL. An empty patch serves the base sections as they
+    /// are.
+    pub fn with_patch(&self, patch: Arc<Patch>) -> Self {
         Self {
             base: Arc::clone(&self.base),
             wal: None,
-            replayed: Some(ReplayedState { graph, index }),
+            patch: (!patch.is_empty()).then_some(patch),
         }
     }
 
-    /// The *current* graph: the replayed or live state when there is
-    /// one, otherwise the base sections zero-copy from the backing.
-    pub fn graph(&self) -> GraphView<'_> {
-        match &self.replayed {
-            Some(state) => state.graph.as_view(),
-            None => self.base.graph(),
+    /// The edits this store serves over its base sections, or `None` when
+    /// the base sections are the current state.
+    pub fn patch(&self) -> Option<&Patch> {
+        self.patch.as_deref()
+    }
+
+    /// The *current* graph: the base sections zero-copy from the backing,
+    /// with the adjacency patch over them when there is one.
+    pub fn graph(&self) -> DynGraphView<'_> {
+        match &self.patch {
+            Some(patch) => patch.graph.view(self.base.graph()),
+            None => DynGraphView::Csr(self.base.graph()),
         }
     }
 
-    /// The *current* index: the replayed (incrementally repaired) or live
-    /// state when there is one, otherwise the base sections zero-copy
-    /// from the backing.
+    /// The *current* index: the base sections zero-copy from the backing,
+    /// with the label patch over them when there is one.
     pub fn index(&self) -> IndexView<'_> {
-        match &self.replayed {
-            Some(state) => state.index.as_view(),
+        match &self.patch {
+            Some(patch) => self.base.index().with_patch(&patch.labels),
             None => self.base.index(),
         }
     }
@@ -551,8 +579,9 @@ impl IndexStore {
         self.base.layout.meta.file_len
     }
 
-    /// Copies the stored graph and index into owned structures (a full
-    /// deserialisation, for callers that want to drop the file).
+    /// Copies the current graph and index into owned structures — a full
+    /// deserialisation with the patch flattened in, which is what a
+    /// checkpoint writes.
     pub fn to_owned_parts(&self) -> (Graph, HighwayCoverIndex) {
         (self.graph().to_owned_graph(), self.index().to_owned_index())
     }

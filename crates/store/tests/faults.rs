@@ -396,8 +396,11 @@ type Fingerprint = (
     Vec<u32>,
 );
 
+/// The store's current state, flattened (base + any replayed patch): the
+/// arrays a checkpoint of it would write.
 fn fingerprint(store: &IndexStore) -> Fingerprint {
-    let (g, ix) = (store.graph(), store.index());
+    let (g, ix) = store.to_owned_parts();
+    let ix = ix.as_view();
     (
         g.csr_offsets().to_vec(),
         g.csr_neighbors().to_vec(),

@@ -1,11 +1,11 @@
 //! Journal-section behaviour: replay-on-open answer identity, compaction,
 //! v6 containers, and journal corruption.
 
-use hcl_core::{bfs, testkit, DeltaGraph, EdgeDelta, Graph};
-use hcl_index::{BuildOptions, HighwayCoverIndex, QueryContext};
+use hcl_core::{bfs, testkit, DeltaGraph, EdgeDelta, Graph, GraphView, VertexId};
+use hcl_index::{BuildOptions, HighwayCoverIndex, LandmarkSelector, QueryContext};
 use hcl_store::{
     compact_file, serialize, serialize_v6_with, serialize_with_journal, BuildInfo, IndexStore,
-    StoreError, StoredJournal, FORMAT_VERSION,
+    StoreError, StoredJournal, Wal, FORMAT_VERSION,
 };
 
 fn build(graph: &Graph, k: usize) -> HighwayCoverIndex {
@@ -252,6 +252,97 @@ fn undecodable_journal_is_a_hard_error() {
         }
         other => panic!("expected delta corruption error, got {other:?}"),
     }
+}
+
+/// Selects a fixed landmark list, so a rebuild of an edited graph keeps
+/// the landmarks that replay keeps.
+struct Fixed(Vec<VertexId>);
+
+impl LandmarkSelector for Fixed {
+    fn name(&self) -> &'static str {
+        "fixed"
+    }
+
+    fn select(&self, _graph: GraphView<'_>, k: usize) -> Vec<VertexId> {
+        self.0[..k].to_vec()
+    }
+}
+
+/// A restart replays the delta WAL into a patch over the mapped base: the
+/// store answers like a rebuild of the edited graph, its patch holds
+/// exactly the vertices whose label or neighbour list differs from the
+/// base, and flattening it gives the rebuild's arrays byte for byte.
+#[test]
+fn wal_restart_replays_into_a_minimal_patch() {
+    let dir = tempdir();
+    let path = dir.join("restart.hcl");
+    let base = testkit::barabasi_albert(120, 3, 0x5EED);
+    let index = build(&base, 6);
+    hcl_store::save(&path, &base, &index).unwrap();
+    let deltas = script(&base, 12, 0xFACE);
+    let checksum = IndexStore::open(&path).unwrap().meta().checksum;
+    let mut wal = Wal::open(&path, checksum).unwrap();
+    wal.append(&deltas[..5]).unwrap();
+    wal.append(&deltas[5..]).unwrap();
+    drop(wal);
+
+    let store = IndexStore::open(&path).unwrap();
+    assert_eq!(store.pending_deltas(), deltas.len());
+    let mut overlay = DeltaGraph::new(base.as_view());
+    for &d in &deltas {
+        overlay.apply(d).unwrap();
+    }
+    let edited = overlay.to_graph();
+    let fixed = Fixed(index.as_view().landmarks().to_vec());
+    let options = BuildOptions {
+        num_landmarks: 6,
+        ..Default::default()
+    };
+    let rebuilt = HighwayCoverIndex::build_in_with_selector(&edited, &options, &mut [], &fixed);
+
+    let mut ctx = QueryContext::new();
+    let mut ctx_reb = QueryContext::new();
+    let mut scratch = bfs::BfsScratch::new();
+    for u in 0..120 {
+        for v in (0..120).step_by(5) {
+            let got = store.index().query_with(store.graph(), &mut ctx, u, v);
+            assert_eq!(
+                got,
+                rebuilt.query_with(&edited, &mut ctx_reb, u, v),
+                "({u}, {v}) vs rebuild"
+            );
+            assert_eq!(
+                got,
+                bfs::distance_with(&edited, u, v, &mut scratch),
+                "({u}, {v}) vs BFS"
+            );
+        }
+    }
+
+    let patch = store.patch().expect("pending deltas replay into a patch");
+    let relabelled: Vec<VertexId> = (0..120)
+        .filter(|&v| !index.label(v).eq(rebuilt.label(v)))
+        .collect();
+    let rewired: Vec<VertexId> = (0..120)
+        .filter(|&v| base.neighbors(v) != edited.neighbors(v))
+        .collect();
+    assert!(!relabelled.is_empty() && !rewired.is_empty());
+    assert_eq!(patch.labels.num_patched(), relabelled.len());
+    assert_eq!(patch.labels.patched_vertices(), relabelled);
+    assert_eq!(patch.graph.num_patched(), rewired.len());
+    assert_eq!(patch.graph.patched_vertices(), rewired);
+    assert_eq!(
+        store.index().num_label_entries(),
+        rebuilt.stats().total_label_entries
+    );
+    // The base sections are untouched; flattening gives the rebuild.
+    assert_eq!(store.base_graph().num_edges(), base.num_edges());
+    let (graph, flat) = store.to_owned_parts();
+    assert_eq!(graph, edited);
+    let (got, want) = (flat.as_view(), rebuilt.as_view());
+    assert_eq!(got.label_offsets(), want.label_offsets());
+    assert_eq!(got.label_entries(), want.label_entries());
+    assert_eq!(got.highway(), want.highway());
 }
 
 /// Minimal per-test temp dir (no external tempfile dependency).
